@@ -14,7 +14,7 @@ from .model import (FlowMatModel, ModelConfig, build_mask_bias,
 from .quantizer import (BitPayload, UniformQuantizerSpec, VqCodebook,
                         payload_bits, uniform_dequantize, uniform_quantize,
                         vq_assign, vq_losses)
-from .training import (DivergenceError, TrainConfig, TrainReport, loss_ce1,
-                       loss_ce2, loss_cf, train_feedback, train_progressive)
+from .training import (DivergenceError, TrainConfig, TrainReport, loss_ce,
+                       loss_cf, train_feedback, train_progressive)
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, analyze-corr, report. Configuration is
 a flat key=value text file; FMAT_SEED overrides the config seed. Exit codes:
-0 success, 2 config error, 3 data error, 4 divergence abort.
+0 success, 2 config error, 3 data error, 4 divergence abort, 5 the
+eigensolver did not converge (for example on a noisy channel estimate).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
+EXIT_CONVERGENCE = 5
 
 
 def _load_config(path):
@@ -147,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     from .dataio import FormatError
     from .evalharness import ConfigError, DataError
+    from .linalg import ConvergenceError
     from .training import DivergenceError
 
     args = build_parser().parse_args(argv)
@@ -161,6 +164,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except ConvergenceError as exc:
+        print(f"eigensolver error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

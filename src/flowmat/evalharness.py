@@ -7,15 +7,15 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .channel import (MultipathProfile, PilotPattern, SystemGeometry,
-                      compute_precoders, every_kth_pattern, generate_batch,
-                      interpolate_frequency, ls_estimate, observe_pilots)
+from .channel import (MultipathProfile, SystemGeometry, compute_precoders,
+                      every_kth_pattern, generate_batch, interpolate_frequency,
+                      ls_estimate, observe_pilots)
 from .model import (FlowMatModel, ModelConfig, estimate_pipeline,
                     feedback_pipeline, tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
@@ -130,7 +130,7 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
 DEFAULTS = {
     # task / orchestration
     "task": "feedback",            # feedback | estimate | joint
-    "regime": "progressive",       # progressive | joint | end_to_end | splited
+    "regime": "progressive",       # see TASK_REGIMES
     "seed": 0,
     # geometry
     "n_tx": 8,
@@ -178,8 +178,11 @@ DEFAULTS = {
     "vq_codebook_size": 256,
     "budgets": "64,128,256",
     "eval_snrs_db": "0,10,20",
-    "eval_trials": 32,
 }
+
+# the regimes each task trains with; feedback has one and ignores ``regime``
+TASK_REGIMES = {"feedback": (), "estimate": ("progressive", "joint"),
+                "joint": ("end_to_end", "splited")}
 
 
 def parse_config(path) -> dict:
@@ -245,49 +248,14 @@ def make_dataset(cfg: dict):
     return geom, channels, eigens, n_train
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(regime=cfg["regime"], steps=cfg["steps"],
-                       batch_size=cfg["batch_size"], lr=cfg["lr"],
-                       lr_schedule=cfg["lr_schedule"], seed=cfg["seed"],
-                       snr_db_min=cfg["snr_db_min"],
-                       snr_db_max=cfg["snr_db_max"],
-                       loss_mode=cfg["loss_mode"],
-                       eig_iterations=cfg["eig_iterations"])
-
-
-def feedback_model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(n_tokens=cfg["n_subband"], token_dim=2 * cfg["n_tx"],
-                       d_model=cfg["d_model"], n_heads=cfg["n_heads"],
-                       encoder_depth=cfg["encoder_depth"],
-                       decoder_depth=cfg["decoder_depth"],
-                       d_latent=cfg["d_latent"], keep_count=cfg["keep_count"],
-                       mask_mode=cfg["mask_mode"],
-                       mask_token_init=cfg["mask_token_init"],
-                       mask_token_trainable=cfg["mask_token_trainable"],
-                       learnable_query=cfg["learnable_query"],
-                       share_projections=cfg["share_projections"],
-                       token_reduction=cfg["token_reduction"],
-                       mlp_expansion=cfg["mlp_expansion"], seed=cfg["seed"])
-
-
-def estimation_model_config(cfg: dict, geom: SystemGeometry) -> ModelConfig:
-    return ModelConfig(n_tokens=cfg["n_sub"],
-                       token_dim=2 * cfg["n_tx"] * cfg["n_rx"],
-                       d_model=cfg["d_model"], n_heads=cfg["n_heads"],
-                       encoder_depth=cfg["encoder_depth"],
-                       decoder_depth=cfg["decoder_depth"],
-                       d_latent=cfg["d_latent"],
-                       keep_count=geom.pilot_pattern.n_pilots,
-                       mask_mode=cfg["mask_mode"],
-                       mask_token_init=cfg["mask_token_init"],
-                       mask_token_trainable=cfg["mask_token_trainable"],
-                       learnable_query=cfg["learnable_query"],
-                       share_projections=cfg["share_projections"],
-                       mlp_expansion=cfg["mlp_expansion"],
-                       denoiser_blocks=cfg["denoiser_blocks"],
-                       denoiser_expansion=cfg["denoiser_expansion"],
-                       n_pilot_tokens=geom.pilot_pattern.n_pilots,
-                       seed=cfg["seed"])
+def _from_cfg(cls, cfg: dict, **fixed):
+    """``cls`` built from the run-config keys named like its fields, with
+    ``fixed`` setting the fields derived from the task."""
+    names = {f.name for f in fields(cls)} & (cfg.keys() - fixed.keys())
+    try:
+        return cls(**{name: cfg[name] for name in names}, **fixed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +369,34 @@ def run_experiment(cfg: dict, out_dir) -> list:
 
     Returns the list of EvalResult rows (also written to results.csv).
     """
+    task, regime = cfg["task"], cfg["regime"]
+    if task not in TASK_REGIMES:
+        raise ConfigError(f"unknown task {task!r}")
+    if TASK_REGIMES[task] and regime not in TASK_REGIMES[task]:
+        raise ConfigError(f"task {task} takes regime "
+                          f"{' or '.join(TASK_REGIMES[task])}, not {regime!r}")
+    tcfg = _from_cfg(TrainConfig, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     chash = config_hash(cfg)
     geom, channels, eigens, n_train = make_dataset(cfg)
-    tcfg = _train_config(cfg)
+    n_pilots = geom.pilot_pattern.n_pilots
     results = []
 
-    if cfg["task"] == "feedback":
-        model = FlowMatModel(feedback_model_config(cfg))
+    def feedback_model():
+        return FlowMatModel(_from_cfg(ModelConfig, cfg,
+                                      n_tokens=cfg["n_subband"],
+                                      token_dim=2 * cfg["n_tx"]))
+
+    def estimation_model():
+        return FlowMatModel(_from_cfg(
+            ModelConfig, cfg, n_tokens=cfg["n_sub"],
+            token_dim=2 * cfg["n_tx"] * cfg["n_rx"], keep_count=n_pilots,
+            n_pilot_tokens=n_pilots, token_reduction="query"))
+
+    if task == "feedback":
+        model = feedback_model()
         report = train_feedback(model, eigens[:n_train], tcfg)
         report.write_csv(out / "loss_curve.csv")
         base = {k: t.data.copy() for k, t in model.params.items()}
@@ -434,9 +420,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
         model.save(out / "feedback.fmw")
         _write_budget_curve(out / "budget_vs_rho.csv", results)
 
-    elif cfg["task"] == "estimate":
-        model = FlowMatModel(estimation_model_config(cfg, geom))
-        if cfg["regime"] == "joint":
+    elif task == "estimate":
+        model = estimation_model()
+        if regime == "joint":
             report = train_joint_estimation(model, channels[:n_train], geom,
                                             tcfg)
         else:
@@ -456,10 +442,10 @@ def run_experiment(cfg: dict, out_dir) -> list:
         (out / "snr_vs_nmse.csv").write_text("\n".join(rows) + "\n")
         model.save(out / "estimation.fmw")
 
-    elif cfg["task"] == "joint":
-        est_model = FlowMatModel(estimation_model_config(cfg, geom))
-        fb_model = FlowMatModel(feedback_model_config(cfg))
-        if cfg["regime"] == "end_to_end":
+    else:
+        est_model = estimation_model()
+        fb_model = feedback_model()
+        if regime == "end_to_end":
             report = train_end_to_end(est_model, fb_model, channels[:n_train],
                                       geom, tcfg)
             report.write_csv(out / "loss_curve.csv")
@@ -472,11 +458,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
                              geom, cfg)
         results.append(EvalResult("joint", float("nan"), rho_val, 0,
                                   len(channels) - n_train, cfg["seed"], chash,
-                                  method=cfg["regime"]))
+                                  method=regime))
         est_model.save(out / "estimation.fmw")
         fb_model.save(out / "feedback.fmw")
-    else:
-        raise ConfigError(f"unknown task {cfg['task']!r}")
 
     write_results_csv(out / "results.csv", results)
     manifest = {

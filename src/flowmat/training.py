@@ -11,15 +11,14 @@ training, composed only at evaluation time).
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import quantizer as qz
 from .autodiff import Adam, Tensor
-from .channel import SystemGeometry, observe_pilots
+from .channel import SystemGeometry, compute_precoders, observe_pilots
 from .model import FlowMatModel, tokenize_channel, tokenize_eigen
 
 
@@ -29,7 +28,6 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    regime: str = "progressive"   # progressive | joint | end_to_end | splited
     steps: int = 1000             # steps per phase
     batch_size: int = 16
     lr: float = 1e-3
@@ -46,8 +44,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch size must be positive")
-        if self.regime not in ("progressive", "joint", "end_to_end", "splited"):
-            raise ValueError(f"unknown regime {self.regime!r}")
         if self.loss_mode not in ("canonical", "paper_literal"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -56,10 +52,6 @@ class TrainConfig:
 class TrainReport:
     losses: list = field(default_factory=list)
     phases: list = field(default_factory=list)
-    final_metrics: dict = field(default_factory=dict)
-    wall_time: float = 0.0
-    config: dict = field(default_factory=dict)
-    seed: int = 0
 
     def write_csv(self, path) -> None:
         lines = ["step,loss,phase"]
@@ -67,12 +59,6 @@ class TrainReport:
                   in enumerate(zip(self.losses, self.phases))]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-
-    def summary(self) -> str:
-        parts = [f"seed={self.seed}", f"steps={len(self.losses)}",
-                 f"wall_time_s={self.wall_time:.2f}"]
-        parts += [f"{k}={v}" for k, v in sorted(self.final_metrics.items())]
-        return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +84,6 @@ def loss_ce(pred: Tensor, target: np.ndarray, mode: str = "canonical") -> Tensor
         return ad.sqrt(ad.div(num, ad.tsum(ad.square(pred))))
     raise ValueError(f"unknown loss mode {mode!r}")
 
-
-# the pilot-domain and full-grid losses share one formula; the distinction
-# is which token set they are fed
-loss_ce1 = loss_ce
-loss_ce2 = loss_ce
 
 _RHO_EPS = 1e-24
 
@@ -188,12 +169,12 @@ def differentiable_precoders(tokens: Tensor, n_rx: int, n_tx: int,
 
 
 # ---------------------------------------------------------------------------
-# Training loops
+# Training
 # ---------------------------------------------------------------------------
 
 
 class _Guard:
-    """Divergence watchdog shared by every loop."""
+    """Divergence watchdog of one ``_fit`` run."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -247,73 +228,77 @@ def _estimation_batch(channels, geom: SystemGeometry, idx, cfg: TrainConfig,
     return np.stack(noisy), np.stack(clean), np.stack(full)
 
 
+def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
+         loss_fn, phase: int = 1) -> None:
+    """``cfg.steps`` Adam steps on ``params`` under the lr schedule and the
+    divergence guard; ``loss_fn(idx)`` builds the loss of a batch drawn
+    without replacement from ``range(n)``. The indices are drawn from
+    ``rng`` before ``loss_fn`` runs, and losses that draw pilot noise from
+    the same generator rely on that order for their results.
+
+    ``bench/tracer.py`` delimits a step by its ``_step_lr`` call and its
+    optimizer step and credits the model, loss and ``_step_lr`` calls
+    made directly under a trainer to that step, so those are called
+    through their module-level names.
+    """
+    opt = Adam(params, lr=cfg.lr)
+    guard = _Guard(cfg)
+    for step in range(cfg.steps):
+        opt.lr = _step_lr(cfg, step, cfg.steps)
+        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        opt.zero_grad()
+        loss = loss_fn(idx)
+        loss.backward()
+        opt.step()
+        val = float(loss.data)
+        guard.check(val)
+        report.losses.append(val)
+        report.phases.append(phase)
+
+
 def train_progressive(model: FlowMatModel, channels, geom: SystemGeometry,
                       cfg: TrainConfig) -> TrainReport:
     """Phase 1 trains the denoiser on the pilot loss; phase 2 freezes it and
     trains the completion decoder on the full-grid loss."""
-    t0 = time.perf_counter()
-    report = TrainReport(config=asdict(cfg), seed=cfg.seed)
+    report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
 
-    denoiser = ["mix"]
-    decoder_side = ["in_proj", "mask_token", "pos", "dec", "out_proj"]
+    def pilot_loss(idx):
+        noisy, clean, _ = _estimation_batch(channels, geom, idx, cfg, rng)
+        return loss_ce(model.denoise(Tensor(noisy)), clean, cfg.loss_mode)
 
-    for phase, prefixes in ((1, denoiser), (2, decoder_side)):
-        if phase == 2:
-            model.set_trainable(denoiser, False)
-        params = model.parameters(prefixes)
-        opt = Adam(params, lr=cfg.lr)
-        guard = _Guard(cfg)
-        for step in range(cfg.steps):
-            opt.lr = _step_lr(cfg, step, cfg.steps)
-            idx = rng.choice(len(channels), size=min(cfg.batch_size,
-                                                     len(channels)),
-                             replace=False)
-            noisy, clean, full = _estimation_batch(channels, geom, idx, cfg, rng)
-            opt.zero_grad()
-            if phase == 1:
-                den = model.denoise(Tensor(noisy))
-                loss = loss_ce1(den, clean, cfg.loss_mode)
-            else:
-                _, rec = model.estimate_forward(
-                    Tensor(noisy), geom.pilot_pattern.pilot_indices)
-                loss = loss_ce2(rec, full, cfg.loss_mode)
-            loss.backward()
-            opt.step()
-            val = float(loss.data)
-            guard.check(val)
-            report.losses.append(val)
-            report.phases.append(phase)
-    model.set_trainable(denoiser, True)
-    report.wall_time = time.perf_counter() - t0
+    def grid_loss(idx):
+        noisy, _, full = _estimation_batch(channels, geom, idx, cfg, rng)
+        _, rec = model.estimate_forward(Tensor(noisy),
+                                        geom.pilot_pattern.pilot_indices)
+        return loss_ce(rec, full, cfg.loss_mode)
+
+    _fit(report, model.parameters(["mix"]), cfg, len(channels), rng,
+         pilot_loss)
+    model.set_trainable(["mix"], False)
+    try:
+        decoder_side = ["in_proj", "mask_token", "pos", "dec", "out_proj"]
+        _fit(report, model.parameters(decoder_side), cfg, len(channels), rng,
+             grid_loss, phase=2)
+    finally:
+        model.set_trainable(["mix"], True)
     return report
 
 
 def train_joint_estimation(model: FlowMatModel, channels,
                            geom: SystemGeometry, cfg: TrainConfig) -> TrainReport:
     """Minimize the pilot and full-grid losses simultaneously."""
-    t0 = time.perf_counter()
-    report = TrainReport(config=asdict(cfg), seed=cfg.seed)
+    report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.parameters(), lr=cfg.lr)
-    guard = _Guard(cfg)
-    for step in range(cfg.steps):
-        opt.lr = _step_lr(cfg, step, cfg.steps)
-        idx = rng.choice(len(channels), size=min(cfg.batch_size, len(channels)),
-                         replace=False)
+
+    def loss_fn(idx):
         noisy, clean, full = _estimation_batch(channels, geom, idx, cfg, rng)
-        opt.zero_grad()
         den, rec = model.estimate_forward(Tensor(noisy),
                                           geom.pilot_pattern.pilot_indices)
-        loss = ad.add(loss_ce1(den, clean, cfg.loss_mode),
-                      loss_ce2(rec, full, cfg.loss_mode))
-        loss.backward()
-        opt.step()
-        val = float(loss.data)
-        guard.check(val)
-        report.losses.append(val)
-        report.phases.append(1)
-    report.wall_time = time.perf_counter() - t0
+        return ad.add(loss_ce(den, clean, cfg.loss_mode),
+                      loss_ce(rec, full, cfg.loss_mode))
+
+    _fit(report, model.parameters(), cfg, len(channels), rng, loss_fn)
     return report
 
 
@@ -324,37 +309,25 @@ def train_feedback(model: FlowMatModel, eigenmatrices, cfg: TrainConfig,
     With a VQ codebook quantizer, the codebook and commitment losses are
     added and the codebook vectors train by gradient.
     """
-    t0 = time.perf_counter()
-    report = TrainReport(config=asdict(cfg), seed=cfg.seed)
+    report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
     tokens_all = np.stack([tokenize_eigen(w) for w in eigenmatrices])
-    params = model.parameters()
-    if isinstance(quantizer, qz.VqCodebook):
-        params = params + [quantizer.vectors]
-    opt = Adam(params, lr=cfg.lr)
-    guard = _Guard(cfg)
-    for step in range(cfg.steps):
-        opt.lr = _step_lr(cfg, step, cfg.steps)
-        idx = rng.choice(len(eigenmatrices),
-                         size=min(cfg.batch_size, len(eigenmatrices)),
-                         replace=False)
+    vq = isinstance(quantizer, qz.VqCodebook)
+    params = model.parameters() + ([quantizer.vectors] if vq else [])
+
+    def loss_fn(idx):
         batch = tokens_all[idx]
-        opt.zero_grad()
         aux = {}
         rec, _, _ = model.feedback_forward(Tensor(batch), quantizer=quantizer,
                                            aux=aux)
         loss = loss_cf(rec, batch)
-        if isinstance(quantizer, qz.VqCodebook):
+        if vq:
             cb_loss, commit = qz.vq_losses(aux["latent_flat"], quantizer,
                                            aux["vq_indices"])
             loss = ad.add(loss, ad.add(cb_loss, commit))
-        loss.backward()
-        opt.step()
-        val = float(loss.data)
-        guard.check(val)
-        report.losses.append(val)
-        report.phases.append(1)
-    report.wall_time = time.perf_counter() - t0
+        return loss
+
+    _fit(report, params, cfg, len(tokens_all), rng, loss_fn)
     return report
 
 
@@ -363,36 +336,23 @@ def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
                      cfg: TrainConfig) -> TrainReport:
     """Pilots -> estimation -> in-graph eigen extraction -> feedback, under
     a single 1 - Rho objective through the whole graph."""
-    t0 = time.perf_counter()
-    report = TrainReport(config=asdict(cfg), seed=cfg.seed)
+    report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
-    from .channel import compute_precoders
-
     targets = np.stack([tokenize_eigen(compute_precoders(h, geom))
                         for h in channels])
-    params = est_model.parameters() + fb_model.parameters()
-    opt = Adam(params, lr=cfg.lr)
-    guard = _Guard(cfg)
-    for step in range(cfg.steps):
-        opt.lr = _step_lr(cfg, step, cfg.steps)
-        idx = rng.choice(len(channels), size=min(cfg.batch_size, len(channels)),
-                         replace=False)
+
+    def loss_fn(idx):
         noisy, _, _ = _estimation_batch(channels, geom, idx, cfg, rng)
-        opt.zero_grad()
         _, rec_full = est_model.estimate_forward(
             Tensor(noisy), geom.pilot_pattern.pilot_indices)
         eig_tokens = differentiable_precoders(
             rec_full, geom.n_rx, geom.n_tx, geom.n_subband,
             iterations=cfg.eig_iterations)
         fb_rec, _, _ = fb_model.feedback_forward(eig_tokens)
-        loss = loss_cf(fb_rec, targets[idx])
-        loss.backward()
-        opt.step()
-        val = float(loss.data)
-        guard.check(val)
-        report.losses.append(val)
-        report.phases.append(1)
-    report.wall_time = time.perf_counter() - t0
+        return loss_cf(fb_rec, targets[idx])
+
+    _fit(report, est_model.parameters() + fb_model.parameters(), cfg,
+         len(channels), rng, loss_fn)
     return report
 
 
@@ -400,8 +360,6 @@ def train_splited(est_model: FlowMatModel, fb_model: FlowMatModel,
                   channels, geom: SystemGeometry, cfg: TrainConfig):
     """Independent training of the two networks; composition happens only at
     evaluation time on frozen parameters (no gradient coupling)."""
-    from .channel import compute_precoders
-
     est_report = train_progressive(est_model, channels, geom, cfg)
     eigens = [compute_precoders(h, geom) for h in channels]
     fb_report = train_feedback(fb_model, eigens, cfg)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import flowmat.evalharness as eh
-from flowmat.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK,
-                         main)
+import flowmat.channel as channel
+from flowmat.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,
+                         EXIT_DIVERGENCE, EXIT_OK, main)
 from flowmat.dataio import read_records
-from flowmat.model import FlowMatModel
+from flowmat.linalg import ConvergenceError
+from flowmat.model import FlowMatModel, ModelConfig
 
 
 SMOKE = """
@@ -35,6 +37,13 @@ def smoke_cfg(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SMOKE)
     return path
+
+
+def feedback_model(cfg_path):
+    cfg = eh.parse_config(cfg_path)
+    return FlowMatModel(eh._from_cfg(ModelConfig, cfg,
+                                     n_tokens=cfg["n_subband"],
+                                     token_dim=2 * cfg["n_tx"]))
 
 
 class TestGenData:
@@ -90,6 +99,38 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_DIVERGENCE
 
+    @pytest.mark.parametrize("task,regime", [
+        ("estimate", "end_to_end"), ("estimate", "splited"),
+        ("joint", "progressive"), ("joint", "joint"), ("estimate", "magic"),
+        ("joint", "magic")])
+    def test_regime_outside_task_set(self, tmp_path, task, regime):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE + f"task = {task}\nregime = {regime}\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert not out_dir.exists()  # rejected before any work
+
+    def test_eigensolver_failure_in_joint_eval_exits_5(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("power iteration did not converge", None)
+
+        eval_joint = eh.eval_joint
+
+        def failing_eval_joint(*args):
+            monkeypatch.setattr(channel, "hermitian_top_eigpair",
+                                no_convergence)
+            return eval_joint(*args)
+
+        monkeypatch.setattr(eh, "eval_joint", failing_eval_joint)
+        cfg = tmp_path / "joint.cfg"
+        cfg.write_text(SMOKE + "task = joint\nregime = splited\nsteps = 1\n")
+        assert main(["train", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "run")]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "Traceback" not in err
+
 
 class TestTrainEval:
     def test_train_then_report(self, smoke_cfg, tmp_path, capsys):
@@ -101,8 +142,7 @@ class TestTrainEval:
         assert "task,method,bit_budget" in printed
 
     def test_eval_feedback_checkpoint(self, smoke_cfg, tmp_path, capsys):
-        cfg = eh.parse_config(smoke_cfg)
-        model = FlowMatModel(eh.feedback_model_config(cfg))
+        model = feedback_model(smoke_cfg)
         ckpt = tmp_path / "model.fmw"
         model.save(ckpt)
         assert main(["eval", "--config", str(smoke_cfg),
@@ -110,8 +150,7 @@ class TestTrainEval:
         assert "rho=" in capsys.readouterr().out
 
     def test_eval_budget_requires_calibration(self, smoke_cfg, tmp_path):
-        cfg = eh.parse_config(smoke_cfg)
-        model = FlowMatModel(eh.feedback_model_config(cfg))
+        model = feedback_model(smoke_cfg)
         ckpt = tmp_path / "model.fmw"
         model.save(ckpt)
         assert main(["eval", "--config", str(smoke_cfg),

@@ -2,6 +2,7 @@
 runner."""
 
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from flowmat.evalharness import (ConfigError, DEFAULTS, EvalResult,
                                  freq_correlation, make_dataset, nmse_db,
                                  parse_config, rho, run_experiment,
                                  write_results_csv)
+from flowmat.model import ModelConfig
+from flowmat.training import TrainConfig
 
 
 def unit_rows(rng, shape):
@@ -180,6 +183,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    def test_defaults_match_dataclass_defaults(self):
+        # run_experiment fills ModelConfig and TrainConfig from the keys
+        # named like their fields, so a key's default must be the field's
+        checked = set()
+        for cls in (ModelConfig, TrainConfig):
+            for f in fields(cls):
+                if f.name in DEFAULTS and f.default is not MISSING:
+                    assert DEFAULTS[f.name] == f.default, (cls, f.name)
+                    assert type(DEFAULTS[f.name]) is type(f.default), f.name
+                    checked.add(f.name)
+        assert {"d_model", "token_reduction", "steps", "lr", "seed"} <= checked
+
     def test_config_hash_stable_and_sensitive(self):
         cfg = dict(DEFAULTS)
         assert config_hash(cfg) == config_hash(dict(DEFAULTS))
@@ -270,6 +285,12 @@ class TestRunExperiment:
     def test_unknown_task_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment(smoke_config(task="divination"), tmp_path / "run")
+
+    @pytest.mark.parametrize("bad", [dict(n_heads=3), dict(steps=0),
+                                     dict(loss_mode="other")])
+    def test_invalid_model_or_train_setting_rejected(self, tmp_path, bad):
+        with pytest.raises(ConfigError):
+            run_experiment(smoke_config(**bad), tmp_path / "run")
 
     def test_splited_joint_task(self, tmp_path):
         cfg = smoke_config(task="joint", regime="splited", steps=2)
