@@ -216,13 +216,13 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(out_data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
+def transpose(a: Tensor, axes=(-1, -2)) -> Tensor:
+    """Swap two axes, by default the last two."""
     a = as_tensor(a)
-    out_data = np.swapaxes(a.data, -1, -2)
+    out_data = np.swapaxes(a.data, *axes)
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, -1, -2))
+        a._accumulate(np.swapaxes(g, *axes))
 
     return Tensor._result(out_data, (a,), backward)
 

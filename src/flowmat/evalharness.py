@@ -173,7 +173,7 @@ DEFAULTS = {
     "loss_mode": "canonical",
     "eig_iterations": 30,
     # quantization / evaluation
-    "quantizer": "uniform",        # uniform | vq | float
+    "quantizer": "uniform",        # uniform | vq
     "finetune_steps": 1000,        # quantization-aware steps per bit budget
     "vq_codebook_size": 256,
     "budgets": "64,128,256",
@@ -351,12 +351,10 @@ def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
         model.metadata[f"uq_lo_{budget}"] = spec.lo
         model.metadata[f"uq_hi_{budget}"] = spec.hi
         return spec
-    if cfg["quantizer"] == "vq":
-        k = cfg["vq_codebook_size"]
-        if payload_bits("vq", m, d_q, k=k) != budget:
-            raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
-        return make_codebook(k, d_q, seed=cfg["seed"])
-    raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
+    k = cfg["vq_codebook_size"]
+    if payload_bits("vq", m, d_q, k=k) != budget:
+        raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
+    return make_codebook(k, d_q, seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +373,8 @@ def run_experiment(cfg: dict, out_dir) -> list:
     if TASK_REGIMES[task] and regime not in TASK_REGIMES[task]:
         raise ConfigError(f"task {task} takes regime "
                           f"{' or '.join(TASK_REGIMES[task])}, not {regime!r}")
+    if cfg["quantizer"] not in ("uniform", "vq"):
+        raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
     tcfg = _from_cfg(TrainConfig, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

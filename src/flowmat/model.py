@@ -254,24 +254,23 @@ class FlowMatModel:
     # -- attention machinery ----------------------------------------------
 
     def _attention(self, prefix: str, x: Tensor, bias) -> Tensor:
+        """Multi-head attention over ``x`` [..., n, d_model], all heads in
+        one batched product; ``bias`` [n, n] adds to every head's logits."""
         p, cfg = self.params, self.cfg
-        q = ad.matmul(x, p[f"{prefix}.wq"])
-        k = ad.matmul(x, p[f"{prefix}.wk"])
-        v = ad.matmul(x, p[f"{prefix}.wv"])
         dh = cfg.d_model // cfg.n_heads
-        scale = 1.0 / math.sqrt(dh)
-        heads = []
-        for h in range(cfg.n_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qh = ad.narrow(q, -1, lo, hi)
-            kh = ad.narrow(k, -1, lo, hi)
-            vh = ad.narrow(v, -1, lo, hi)
-            logits = ad.matmul(qh, ad.transpose(kh))
-            if bias is not None:
-                logits = ad.add(logits, Tensor(bias))
-            att = ad.softmax_rows(ad.mul(logits, scale))
-            heads.append(ad.matmul(att, vh))
-        return ad.concat(heads, axis=-1)
+        split = x.data.shape[:-1] + (cfg.n_heads, dh)
+
+        def heads(w):  # [..., n, d_model] -> [..., heads, n, dh]
+            y = ad.reshape(ad.matmul(x, p[f"{prefix}.{w}"]), split)
+            return ad.transpose(y, axes=(-3, -2))
+
+        q, k, v = heads("wq"), heads("wk"), heads("wv")
+        logits = ad.matmul(q, ad.transpose(k))
+        if bias is not None:
+            logits = ad.add(logits, Tensor(bias))
+        att = ad.softmax_rows(ad.mul(logits, 1.0 / math.sqrt(dh)))
+        out = ad.transpose(ad.matmul(att, v), axes=(-3, -2))
+        return ad.reshape(out, x.data.shape)
 
     def _block(self, prefix: str, x: Tensor, bias=None) -> Tensor:
         p = self.params
@@ -391,8 +390,7 @@ class FlowMatModel:
             aux["latent"] = lat
         payload = None
         if isinstance(quantizer, qz.UniformQuantizerSpec):
-            idx, payload = qz.uniform_quantize(lat.data, quantizer)
-            lat = qz.uniform_quantize_st(lat, quantizer)
+            lat, _, payload = qz.uniform_quantize_st(lat, quantizer)
         elif isinstance(quantizer, qz.VqCodebook):
             flat = (lat if lat.data.ndim == 2
                     else ad.reshape(lat, (-1, cfg.d_latent)))

@@ -91,13 +91,14 @@ def _cell_centres(indices, spec: UniformQuantizerSpec) -> np.ndarray:
     return spec.lo + (indices + 0.5) * spec.delta
 
 
-def uniform_quantize_st(x: Tensor, spec: UniformQuantizerSpec) -> Tensor:
-    """Quantize-dequantize in the forward pass, identity in the backward."""
-    def transform(arr):
-        idx, _ = uniform_quantize(arr, spec)
-        return uniform_dequantize(idx, spec)
+def uniform_quantize_st(x: Tensor, spec: UniformQuantizerSpec):
+    """Quantize-dequantize in the forward pass, identity in the backward.
 
-    return ad.straight_through(x, transform)
+    Returns (quantized tensor, indices, payload) from one quantization.
+    """
+    idx, payload = uniform_quantize(x.data, spec)
+    values = uniform_dequantize(idx, spec)
+    return ad.straight_through(x, lambda _: values), idx, payload
 
 
 def calibrate_uniform(latents: np.ndarray, bits: int,

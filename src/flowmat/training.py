@@ -42,10 +42,13 @@ class TrainConfig:
     phase_augment: bool = True    # random global phase rotation per sample
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch size must be positive")
+        if min(self.steps, self.batch_size, self.eig_iterations) < 1:
+            raise ValueError("steps, batch size and eig_iterations must be "
+                             "positive")
         if self.loss_mode not in ("canonical", "paper_literal"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        if self.lr_schedule not in ("cosine", "constant"):
+            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
 @dataclass
@@ -130,42 +133,39 @@ def differentiable_precoders(tokens: Tensor, n_rx: int, n_tx: int,
     an eigen token tensor [..., n_subband, 2*n_tx]. The whole computation is
     ordinary graph arithmetic, so gradients flow back into the channel
     estimate. Rows are unit norm by construction (last normalization step).
+    Subbands are a batch axis, so the iterations run once for all of them.
     """
     half = n_rx * n_tx
-    n_sub = tokens.data.shape[-2]
+    lead, n_sub = tokens.data.shape[:-2], tokens.data.shape[-2]
     if n_sub % n_subband != 0:
         raise ValueError("n_subband must divide the subcarrier count")
-    size = n_sub // n_subband
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
     v0 /= np.linalg.norm(v0)
 
-    rows = []
-    for b in range(n_subband):
-        sub = ad.narrow(tokens, -2, b * size, (b + 1) * size)
-        a_re = a_im = None
-        for r in range(n_rx):
-            re = ad.narrow(sub, -1, r * n_tx, (r + 1) * n_tx)
-            im = ad.narrow(sub, -1, half + r * n_tx, half + (r + 1) * n_tx)
-            re_t, im_t = ad.transpose(re), ad.transpose(im)
-            term_re = ad.add(ad.matmul(re_t, re), ad.matmul(im_t, im))
-            term_im = ad.sub(ad.matmul(re_t, im), ad.matmul(im_t, re))
-            a_re = term_re if a_re is None else ad.add(a_re, term_re)
-            a_im = term_im if a_im is None else ad.add(a_im, term_im)
+    # x holds the re and the im row of every (subcarrier, antenna) of a
+    # subband; y holds im and -re at the same places, so that
+    # x^T x = sum re^T re + im^T im and x^T y = sum re^T im - im^T re.
+    rows = lead + (n_subband, 2 * (n_sub // n_subband) * n_rx, n_tx)
+    x = ad.reshape(tokens, rows)
+    y = ad.reshape(ad.concat([ad.narrow(tokens, -1, half, 2 * half),
+                              ad.mul(ad.narrow(tokens, -1, 0, half), -1.0)]),
+                   rows)
+    x_t = ad.transpose(x)
+    a_re, a_im = ad.matmul(x_t, x), ad.matmul(x_t, y)
 
-        v_re = Tensor(v0.real.reshape(n_tx, 1))
-        v_im = Tensor(v0.imag.reshape(n_tx, 1))
-        for _ in range(iterations):
-            nv_re = ad.sub(ad.matmul(a_re, v_re), ad.matmul(a_im, v_im))
-            nv_im = ad.add(ad.matmul(a_re, v_im), ad.matmul(a_im, v_re))
-            norm = ad.sqrt(ad.add(
-                ad.tsum(ad.add(ad.square(nv_re), ad.square(nv_im)),
-                        axis=(-2, -1), keepdims=True),
-                Tensor(1e-30)))
-            v_re, v_im = ad.div(nv_re, norm), ad.div(nv_im, norm)
-        row = ad.concat([ad.transpose(v_re), ad.transpose(v_im)], axis=-1)
-        rows.append(row)
-    return ad.concat(rows, axis=-2)
+    v_re = Tensor(v0.real.reshape(n_tx, 1))
+    v_im = Tensor(v0.imag.reshape(n_tx, 1))
+    for _ in range(iterations):
+        nv_re = ad.sub(ad.matmul(a_re, v_re), ad.matmul(a_im, v_im))
+        nv_im = ad.add(ad.matmul(a_re, v_im), ad.matmul(a_im, v_re))
+        norm = ad.sqrt(ad.add(
+            ad.tsum(ad.add(ad.square(nv_re), ad.square(nv_im)),
+                    axis=(-2, -1), keepdims=True),
+            Tensor(1e-30)))
+        v_re, v_im = ad.div(nv_re, norm), ad.div(nv_im, norm)
+    row = ad.concat([ad.transpose(v_re), ad.transpose(v_im)], axis=-1)
+    return ad.reshape(row, lead + (n_subband, 2 * n_tx))
 
 
 # ---------------------------------------------------------------------------

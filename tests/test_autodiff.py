@@ -83,6 +83,10 @@ class TestReductionsAndShapes:
               RNG.standard_normal((3, 4)))
         check(lambda x: ad.tsum(ad.square(ad.transpose(x))),
               RNG.standard_normal((2, 3, 4)))
+        w = RNG.standard_normal((2, 3, 4, 5))
+        check(lambda x: ad.tsum(ad.mul(ad.transpose(x, axes=(-3, -2)),
+                                       Tensor(w))),
+              RNG.standard_normal((2, 4, 3, 5)))
 
     def test_concat_narrow(self):
         b = RNG.standard_normal((3, 2))

@@ -111,6 +111,16 @@ class TestExitCodes:
                      "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert not out_dir.exists()  # rejected before any work
 
+    @pytest.mark.parametrize("setting", ["lr_schedule = cosin",
+                                         "quantizer = float"])
+    def test_bad_setting_rejected_before_training(self, tmp_path, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE + setting + "\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert not out_dir.exists()  # rejected before any work
+
     def test_eigensolver_failure_in_joint_eval_exits_5(self, tmp_path,
                                                       monkeypatch, capsys):
         def no_convergence(*args, **kwargs):

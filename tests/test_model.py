@@ -103,6 +103,17 @@ class TestMaskAttention:
             ref = brute_force_masked_attention(model, "enc0", x, kept)
             assert np.max(np.abs(got - ref)) < 1e-10
 
+    def test_batched_input_equals_per_sample_calls(self):
+        # the leading batch axis is independent of the head axis
+        model = FlowMatModel(tiny_config(mask_mode="hard"))
+        x = np.random.default_rng(6).standard_normal((3, 6, 16))
+        bias = build_mask_bias([0, 2, 5], 6, "hard")
+        got = model._attention("enc0", Tensor(x), bias).data
+        ref = np.stack([model._attention("enc0", Tensor(s), bias).data
+                        for s in x])
+        assert got.shape == (3, 6, 16)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
     def test_paper_literal_keeps_nonzero_masked_weight(self):
         # constructed counterexample: with the {0,1} bias the masked key
         # still receives nonzero attention, unlike the hard mask

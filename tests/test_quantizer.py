@@ -78,8 +78,19 @@ class TestUniformQuantizer:
         spec = UniformQuantizerSpec(bits=3, lo=-1.0, hi=1.0)
         x = Tensor(np.random.default_rng(6).uniform(-1, 1, (4, 3)),
                    requires_grad=True)
-        ad.tsum(uniform_quantize_st(x, spec)).backward()
+        quantized, _, _ = uniform_quantize_st(x, spec)
+        ad.tsum(quantized).backward()
         np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
+
+    def test_straight_through_matches_one_quantization(self):
+        spec = UniformQuantizerSpec(bits=3, lo=-1.0, hi=1.0)
+        x = np.random.default_rng(8).uniform(-1.5, 1.5, (4, 3))
+        quantized, idx, payload = uniform_quantize_st(Tensor(x), spec)
+        ref_idx, ref_payload = uniform_quantize(x, spec)
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert payload == ref_payload
+        np.testing.assert_array_equal(quantized.data,
+                                      uniform_dequantize(ref_idx, spec))
 
     def test_calibration_covers_latents_with_margin(self):
         lats = np.random.default_rng(7).standard_normal(1000)

@@ -31,6 +31,11 @@ def small_geom():
                           pilot_pattern=every_kth_pattern(8, 2))
 
 
+def two_rx_geom():
+    return SystemGeometry(n_tx=3, n_rx=2, n_sub=8, n_subband=4,
+                          pilot_pattern=every_kth_pattern(8, 2))
+
+
 def unit_rows(rng, shape):
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
@@ -101,15 +106,16 @@ class TestSimilarityLoss:
 
 class TestDifferentiableEigen:
     def test_matches_numpy_precoders(self):
-        geom = small_geom()
-        h = generate_batch(geom, MultipathProfile(seed=8), 1)[0]
-        tokens = Tensor(tokenize_channel(h))
-        eig_tok = differentiable_precoders(tokens, geom.n_rx, geom.n_tx,
-                                           geom.n_subband, iterations=200)
-        got = eig_tok.data[..., :geom.n_tx] + 1j * eig_tok.data[..., geom.n_tx:]
-        ref = compute_precoders(h, geom)
-        for b in range(geom.n_subband):
-            assert abs(np.vdot(got[b], ref[b])) > 1.0 - 1e-8
+        for geom in (small_geom(), two_rx_geom()):
+            h = generate_batch(geom, MultipathProfile(seed=8), 1)[0]
+            tokens = Tensor(tokenize_channel(h))
+            eig_tok = differentiable_precoders(tokens, geom.n_rx, geom.n_tx,
+                                               geom.n_subband, iterations=200)
+            got = (eig_tok.data[..., :geom.n_tx]
+                   + 1j * eig_tok.data[..., geom.n_tx:])
+            ref = compute_precoders(h, geom)
+            for b in range(geom.n_subband):
+                assert abs(np.vdot(got[b], ref[b])) > 1.0 - 1e-8
 
     def test_rows_unit_norm(self):
         geom = small_geom()
@@ -119,6 +125,39 @@ class TestDifferentiableEigen:
                                        iterations=30)
         norms = np.linalg.norm(out.data, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+    def test_matches_complex_loop_reference(self):
+        # three iterations have not converged, so this pins the arithmetic:
+        # only the summation order of the Gram matrices may differ
+        geom = two_rx_geom()
+        h = generate_batch(geom, MultipathProfile(seed=8), 1)[0]
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(geom.n_tx) + 1j * rng.standard_normal(geom.n_tx)
+        size = geom.n_sub // geom.n_subband
+        ref = []
+        for b in range(geom.n_subband):
+            a = sum(hr.conj().T @ hr for hr in h[:, b * size:(b + 1) * size])
+            v = v0 / np.linalg.norm(v0)
+            for _ in range(3):
+                v = a @ v
+                v /= np.linalg.norm(v)
+            ref.append(v)
+        got = differentiable_precoders(Tensor(tokenize_channel(h)), geom.n_rx,
+                                       geom.n_tx, geom.n_subband, iterations=3)
+        np.testing.assert_allclose(got.data, tokenize_eigen(np.stack(ref)),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_batch_axis_gives_each_sample_its_own_result(self):
+        geom = two_rx_geom()
+        hs = generate_batch(geom, MultipathProfile(seed=11), 3)
+        tokens = np.stack([tokenize_channel(h) for h in hs])
+        got = differentiable_precoders(Tensor(tokens), geom.n_rx, geom.n_tx,
+                                       geom.n_subband, iterations=30).data
+        assert got.shape == (3, geom.n_subband, 2 * geom.n_tx)
+        for b, tok in enumerate(tokens):
+            ref = differentiable_precoders(Tensor(tok), geom.n_rx, geom.n_tx,
+                                           geom.n_subband, iterations=30).data
+            np.testing.assert_allclose(got[b], ref, rtol=0.0, atol=1e-12)
 
     def test_gradients_flow_to_channel(self):
         geom = small_geom()
@@ -153,6 +192,10 @@ class TestGuardAndConfig:
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_mode="other")
+        with pytest.raises(ValueError):
+            TrainConfig(lr_schedule="cosin")
+        with pytest.raises(ValueError):
+            TrainConfig(eig_iterations=0)
 
     def test_cosine_schedule_decays_to_zero(self):
         cfg = TrainConfig(lr=1e-3, lr_schedule="cosine")
@@ -325,3 +368,56 @@ class TestEstimationTraining:
                                                           batch_size=2))
         assert len(est_rep.losses) == 6  # two phases
         assert len(fb_rep.losses) == 3
+
+
+def graph_nodes(loss):
+    """Distinct requires_grad tensors reachable from ``loss``."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestGraphSize:
+    """Pins the graph of one training step: the heads of every attention
+    block and the subbands and receive antennas of the eigen extraction
+    are batch axes, not Python loops, so the node count does not grow
+    with them."""
+
+    def step_nodes(self, monkeypatch, train):
+        losses = []
+
+        def capture(pred, true):
+            losses.append(loss_cf(pred, true))
+            return losses[-1]
+
+        monkeypatch.setattr(tr, "loss_cf", capture)
+        train()
+        assert len(losses) == 1
+        return graph_nodes(losses[0])
+
+    def test_feedback_step(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        eigens = [unit_rows(rng, (4, 3)) for _ in range(8)]
+        nodes = self.step_nodes(monkeypatch, lambda: train_feedback(
+            FlowMatModel(fb_config(n_heads=4)), eigens,
+            TrainConfig(steps=1, batch_size=4)))
+        assert nodes <= 191
+
+    def test_end_to_end_step(self, monkeypatch):
+        geom = two_rx_geom()
+        est = FlowMatModel(ModelConfig(
+            n_tokens=8, token_dim=12, d_model=8, n_heads=4, encoder_depth=1,
+            decoder_depth=1, d_latent=2, keep_count=4, n_pilot_tokens=4,
+            seed=0))
+        fb = FlowMatModel(ModelConfig(n_tokens=4, token_dim=6, d_model=8,
+                                      n_heads=4, encoder_depth=1,
+                                      decoder_depth=1, d_latent=2,
+                                      keep_count=2, seed=1))
+        channels = generate_batch(geom, MultipathProfile(seed=12), 4)
+        nodes = self.step_nodes(monkeypatch, lambda: train_end_to_end(
+            est, fb, channels, geom, TrainConfig(steps=1, batch_size=2)))
+        assert nodes <= 658
