@@ -1,8 +1,7 @@
 """Joint channel estimation and CSI feedback with a masked-token transformer."""
 
-from .autodiff import (Adam, AdamState, Tensor, adam_step,
-                       finite_diff_grad_check, layer_norm, matmul,
-                       softmax_rows)
+from .autodiff import (Adam, Tensor, finite_diff_grad_check, layer_norm,
+                       matmul, softmax_rows)
 from .channel import (MultipathProfile, PilotObservation, PilotPattern,
                       SystemGeometry, compute_precoders, generate_channel,
                       interpolate_frequency, ls_estimate, observe_pilots)

@@ -14,7 +14,6 @@ frees it, so one graph per training step needs no explicit reset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -456,69 +455,33 @@ def straight_through(a: Tensor, transform) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update. Returns new parameter arrays; the
-    state is mutated in place. Deterministic given inputs."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state counts disagree")
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError("parameter/gradient shape mismatch")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        mhat = state.m[i] / bc1
-        vhat = state.v[i] / bc2
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
-    return out
-
-
 class Adam:
-    """Convenience wrapper driving ``adam_step`` over Tensor parameters."""
+    """Bias-corrected Adam (Kingma & Ba 2015) over Tensor parameters; a
+    parameter without a gradient steps on a zero gradient."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        new = adam_step([p.data for p in self.params], grads, self.state)
-        for p, nd in zip(self.params, new):
-            p.data = nd
-
-    @property
-    def lr(self):
-        return self.state.lr
-
-    @lr.setter
-    def lr(self, value):
-        self.state.lr = value
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            mhat = self.m[i] / bc1
+            vhat = self.v[i] / bc2
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def _cmd_eval(args) -> int:
         print(f"model_nmse_db={mdl_db} ls_nmse_db={ls_db}")
     else:
         quant = None
-        if args.budget:
+        if args.budget is not None:
             per_scalar = args.budget // (model.cfg.keep_count *
                                          model.cfg.d_latent)
             lo = model.metadata.get(f"uq_lo_{args.budget}")

@@ -38,14 +38,9 @@ def write_records(path, kind: int, samples) -> None:
     if kind not in (KIND_CHANNEL, KIND_EIGEN, KIND_PILOT):
         raise ValueError(f"unknown record kind {kind}")
 
-    payload = bytearray()
-    for s in samples:
-        flat = s.reshape(-1)
-        inter = np.empty(flat.size * 2, dtype="<f4")
-        inter[0::2] = flat.real.astype("<f4")
-        inter[1::2] = flat.imag.astype("<f4")
-        payload += inter.tobytes()
-    payload = bytes(payload)
+    stacked = np.stack(samples)
+    payload = np.stack([stacked.real, stacked.imag], axis=-1).astype(
+        "<f4").tobytes()
 
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -89,11 +84,5 @@ def read_records(path):
     if crc != zlib.crc32(payload):
         raise FormatError("payload CRC mismatch")
 
-    inter = np.frombuffer(payload, dtype="<f4")
-    samples = []
-    stride = per_sample * 2
-    for i in range(count):
-        chunk = inter[i * stride:(i + 1) * stride]
-        arr = (chunk[0::2] + 1j * chunk[1::2]).astype(np.complex64)
-        samples.append(arr.reshape(dims))
-    return kind, samples
+    inter = np.frombuffer(payload, dtype="<f4").reshape((count,) + dims + (2,))
+    return kind, list((inter[..., 0] + 1j * inter[..., 1]).astype(np.complex64))

@@ -114,10 +114,11 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
             raise ValueError(f"budget {bits} cannot keep any subband")
         spec = UniformQuantizerSpec(bits=quant_bits, lo=-1.0, hi=1.0)
         out = np.empty_like(w, dtype=np.complex128)
-        for b in range(keep):
-            re = uniform_dequantize(uniform_quantize(w[b].real, spec)[0], spec)
-            im = uniform_dequantize(uniform_quantize(w[b].imag, spec)[0], spec)
-            out[b] = re + 1j * im
+        kept = w[:keep]
+        out[:keep] = (
+            uniform_dequantize(uniform_quantize(kept.real, spec)[0], spec)
+            + 1j * uniform_dequantize(uniform_quantize(kept.imag, spec)[0],
+                                      spec))
     out[keep:] = out[keep - 1]  # hold interpolation
     out /= np.linalg.norm(out, axis=1, keepdims=True)
     return out
@@ -300,12 +301,11 @@ def collect_latents(model: FlowMatModel, eigens) -> np.ndarray:
 
 
 def eval_feedback(model: FlowMatModel, eigens, quantizer=None) -> float:
-    recs, refs = [], []
+    recs = []
     for w in eigens:
         _, w_rec = feedback_pipeline(w, model, quantizer=quantizer)
         recs.append(w_rec)
-        refs.append(w)
-    return rho(np.stack(refs), np.stack(recs))
+    return rho(np.stack(eigens), np.stack(recs))
 
 
 def eval_estimation(model: FlowMatModel, channels, geom: SystemGeometry,
@@ -330,7 +330,7 @@ def eval_estimation(model: FlowMatModel, channels, geom: SystemGeometry,
 
 def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
                       budget: int):
-    """Quantizer instance hitting the budget exactly, or ConfigError.
+    """Quantizer instance hitting a budget that ``_budget_list`` accepted.
 
     A uniform quantizer spends ``budget / (keep_count * d_latent)`` bits
     per latent scalar. Its range is calibrated on the float model's
@@ -340,21 +340,15 @@ def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
     The range is recorded as ``uq_lo_<budget>`` / ``uq_hi_<budget>`` in
     the model metadata, from which ``flowmat eval --budget`` rebuilds it.
     """
-    m, d_q = cfg["keep_count"], cfg["d_latent"]
     if cfg["quantizer"] == "uniform":
-        per_scalar = budget // (m * d_q)
-        if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
-            raise ConfigError(
-                f"budget {budget} not reachable with m={m}, d_latent={d_q}")
         lats = collect_latents(model, train_eigens)
-        spec = calibrate_uniform_mse(lats, per_scalar)
+        spec = calibrate_uniform_mse(
+            lats, budget // (cfg["keep_count"] * cfg["d_latent"]))
         model.metadata[f"uq_lo_{budget}"] = spec.lo
         model.metadata[f"uq_hi_{budget}"] = spec.hi
         return spec
-    k = cfg["vq_codebook_size"]
-    if payload_bits("vq", m, d_q, k=k) != budget:
-        raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
-    return make_codebook(k, d_q, seed=cfg["seed"])
+    return make_codebook(cfg["vq_codebook_size"], cfg["d_latent"],
+                         seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +370,8 @@ def run_experiment(cfg: dict, out_dir) -> list:
     if cfg["quantizer"] not in ("uniform", "vq"):
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
     tcfg = _from_cfg(TrainConfig, cfg)
+    budgets = _budget_list(cfg) if task == "feedback" else []
+    snrs = _snr_list(cfg) if task == "estimate" else []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -400,7 +396,7 @@ def run_experiment(cfg: dict, out_dir) -> list:
         report = train_feedback(model, eigens[:n_train], tcfg)
         report.write_csv(out / "loss_curve.csv")
         base = {k: t.data.copy() for k, t in model.params.items()}
-        for budget in _budget_list(cfg):
+        for budget in budgets:
             quant = _budget_quantizer(cfg, model, eigens[:n_train], budget)
             if cfg["finetune_steps"] > 0:
                 ft = replace(tcfg, steps=cfg["finetune_steps"],
@@ -429,7 +425,7 @@ def run_experiment(cfg: dict, out_dir) -> list:
             report = train_progressive(model, channels[:n_train], geom, tcfg)
         report.write_csv(out / "loss_curve.csv")
         rows = ["snr_db,model_nmse_db,ls_nmse_db"]
-        for snr in _snr_list(cfg):
+        for snr in snrs:
             mdl_db, ls_db = eval_estimation(model, channels[n_train:], geom,
                                             snr, seed=cfg["seed"] + 1)
             rows.append(f"{snr!r},{mdl_db!r},{ls_db!r}")
@@ -447,11 +443,12 @@ def run_experiment(cfg: dict, out_dir) -> list:
         fb_model = feedback_model()
         if regime == "end_to_end":
             report = train_end_to_end(est_model, fb_model, channels[:n_train],
-                                      geom, tcfg)
+                                      eigens[:n_train], geom, tcfg)
             report.write_csv(out / "loss_curve.csv")
         else:  # splited
             est_rep, fb_rep = train_splited(est_model, fb_model,
-                                            channels[:n_train], geom, tcfg)
+                                            channels[:n_train],
+                                            eigens[:n_train], geom, tcfg)
             est_rep.write_csv(out / "loss_curve_estimation.csv")
             fb_rep.write_csv(out / "loss_curve_feedback.csv")
         rho_val = eval_joint(est_model, fb_model, channels[n_train:], eigens[n_train:],
@@ -477,16 +474,15 @@ def run_experiment(cfg: dict, out_dir) -> list:
 def eval_joint(est_model, fb_model, channels, eigens, geom, cfg) -> float:
     """Composed estimation + feedback Rho on frozen models."""
     rng = np.random.default_rng(cfg["seed"] + 2)
-    preds, refs = [], []
-    for h, w in zip(channels, eigens):
+    preds = []
+    for h in channels:
         snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
         obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
         h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
         w_est = compute_precoders(h_est, geom)
         _, w_rec = feedback_pipeline(w_est, fb_model)
         preds.append(w_rec)
-        refs.append(w)
-    return rho(np.stack(refs), np.stack(preds))
+    return rho(np.stack(eigens), np.stack(preds))
 
 
 def analyze_corr(cfg: dict, out_path) -> np.ndarray:
@@ -500,10 +496,28 @@ def analyze_corr(cfg: dict, out_path) -> np.ndarray:
 
 
 def _budget_list(cfg: dict):
+    """The feedback bit budgets, or ConfigError unless the configured
+    quantizer hits each exactly and the truncation baseline keeps at least
+    one subband at each."""
     try:
-        return [int(b) for b in str(cfg["budgets"]).split(",") if b.strip()]
+        budgets = [int(b) for b in str(cfg["budgets"]).split(",")
+                   if b.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad budgets list: {exc}")
+    m, d_q = cfg["keep_count"], cfg["d_latent"]
+    for budget in budgets:
+        if cfg["quantizer"] == "uniform":
+            per_scalar = budget // (m * d_q)
+            if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
+                raise ConfigError(
+                    f"budget {budget} not reachable with m={m}, d_latent={d_q}")
+        elif payload_bits("vq", m, d_q, k=cfg["vq_codebook_size"]) != budget:
+            raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
+        try:
+            baseline_truncation(np.ones((1, cfg["n_tx"])), budget)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return budgets
 
 
 def _snr_list(cfg: dict):

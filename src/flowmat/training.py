@@ -18,12 +18,15 @@ import numpy as np
 from . import autodiff as ad
 from . import quantizer as qz
 from .autodiff import Adam, Tensor
-from .channel import SystemGeometry, compute_precoders, observe_pilots
+from .channel import SystemGeometry, observe_pilots
 from .model import FlowMatModel, tokenize_channel, tokenize_eigen
 
 
 class DivergenceError(RuntimeError):
     """Loss exceeded 10x its initial value for too many consecutive steps."""
+
+
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
@@ -36,10 +39,8 @@ class TrainConfig:
     snr_db_min: float = 10.0
     snr_db_max: float = 10.0
     loss_mode: str = "canonical"  # canonical | paper_literal
-    divergence_factor: float = 10.0
     divergence_patience: int = 100
     eig_iterations: int = 30      # unrolled power-iteration depth (end_to_end)
-    phase_augment: bool = True    # random global phase rotation per sample
 
     def __post_init__(self):
         if min(self.steps, self.batch_size, self.eig_iterations) < 1:
@@ -173,30 +174,6 @@ def differentiable_precoders(tokens: Tensor, n_rx: int, n_tx: int,
 # ---------------------------------------------------------------------------
 
 
-class _Guard:
-    """Divergence watchdog of one ``_fit`` run."""
-
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
-        self.initial = None
-        self.streak = 0
-
-    def check(self, loss: float):
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss}")
-        if self.initial is None:
-            self.initial = max(abs(loss), 1e-12)
-            return
-        if loss > self.cfg.divergence_factor * self.initial:
-            self.streak += 1
-            if self.streak >= self.cfg.divergence_patience:
-                raise DivergenceError(
-                    f"loss {loss:.3g} above {self.cfg.divergence_factor}x "
-                    f"initial for {self.streak} consecutive steps")
-        else:
-            self.streak = 0
-
-
 def _step_lr(cfg: TrainConfig, step: int, total: int) -> float:
     if cfg.lr_schedule == "cosine":
         return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
@@ -208,24 +185,22 @@ def _estimation_batch(channels, geom: SystemGeometry, idx, cfg: TrainConfig,
     """Noisy pilot tokens, clean pilot tokens and full-grid tokens for a
     batch of channel samples; noise is resampled fresh every call.
 
-    With ``phase_augment`` each sample is rotated by a fresh global unit
-    phase. Path gains are circularly symmetric, so the rotated channel has
-    the same distribution as the original and the rotation only widens the
-    effective training set.
+    Each sample is rotated by a fresh global unit phase. Path gains are
+    circularly symmetric, so the rotated channel has the same distribution
+    as the original and the rotation only widens the effective training set.
     """
-    pidx = geom.pilot_pattern.pilot_indices
-    noisy, clean, full = [], [], []
+    noisy, full = [], []
     for i in idx:
-        h = channels[i]
-        if cfg.phase_augment:
-            h = h * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        h = channels[i] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         snr = (cfg.snr_db_min if cfg.snr_db_min == cfg.snr_db_max
                else rng.uniform(cfg.snr_db_min, cfg.snr_db_max))
         obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
         noisy.append(tokenize_channel(obs.data))
-        clean.append(tokenize_channel(h[:, pidx, :]))
         full.append(tokenize_channel(h))
-    return np.stack(noisy), np.stack(clean), np.stack(full)
+    full = np.stack(full)
+    # take, not full[:, idx]: its C order sums like stacked pilot tokens
+    clean = np.take(full, geom.pilot_pattern.pilot_indices, axis=1)
+    return np.stack(noisy), clean, full
 
 
 def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
@@ -242,7 +217,7 @@ def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
     through their module-level names.
     """
     opt = Adam(params, lr=cfg.lr)
-    guard = _Guard(cfg)
+    initial, streak = None, 0
     for step in range(cfg.steps):
         opt.lr = _step_lr(cfg, step, cfg.steps)
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
@@ -251,7 +226,18 @@ def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
         loss.backward()
         opt.step()
         val = float(loss.data)
-        guard.check(val)
+        if not math.isfinite(val):
+            raise DivergenceError(f"non-finite loss {val}")
+        if initial is None:
+            initial = max(abs(val), 1e-12)
+        elif val > DIVERGENCE_FACTOR * initial:
+            streak += 1
+            if streak >= cfg.divergence_patience:
+                raise DivergenceError(
+                    f"loss {val:.3g} above {DIVERGENCE_FACTOR}x initial for "
+                    f"{streak} consecutive steps")
+        else:
+            streak = 0
         report.losses.append(val)
         report.phases.append(phase)
 
@@ -332,14 +318,13 @@ def train_feedback(model: FlowMatModel, eigenmatrices, cfg: TrainConfig,
 
 
 def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
-                     channels, geom: SystemGeometry,
+                     channels, eigens, geom: SystemGeometry,
                      cfg: TrainConfig) -> TrainReport:
     """Pilots -> estimation -> in-graph eigen extraction -> feedback, under
-    a single 1 - Rho objective through the whole graph."""
+    one 1 - Rho objective against ``eigens``, the labels of ``channels``."""
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
-    targets = np.stack([tokenize_eigen(compute_precoders(h, geom))
-                        for h in channels])
+    targets = np.stack([tokenize_eigen(w) for w in eigens])
 
     def loss_fn(idx):
         noisy, _, _ = _estimation_batch(channels, geom, idx, cfg, rng)
@@ -357,10 +342,10 @@ def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
 
 
 def train_splited(est_model: FlowMatModel, fb_model: FlowMatModel,
-                  channels, geom: SystemGeometry, cfg: TrainConfig):
-    """Independent training of the two networks; composition happens only at
-    evaluation time on frozen parameters (no gradient coupling)."""
+                  channels, eigens, geom: SystemGeometry, cfg: TrainConfig):
+    """Independent training of the two networks, the feedback one on
+    ``eigens``; composition happens only at evaluation time on frozen
+    parameters (no gradient coupling)."""
     est_report = train_progressive(est_model, channels, geom, cfg)
-    eigens = [compute_precoders(h, geom) for h in channels]
     fb_report = train_feedback(fb_model, eigens, cfg)
     return est_report, fb_report

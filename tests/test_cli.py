@@ -111,8 +111,11 @@ class TestExitCodes:
                      "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert not out_dir.exists()  # rejected before any work
 
-    @pytest.mark.parametrize("setting", ["lr_schedule = cosin",
-                                         "quantizer = float"])
+    @pytest.mark.parametrize("setting", [
+        "lr_schedule = cosin", "quantizer = float",
+        # 16 bits cannot hold one truncated subband of 8 antennas (32 bits)
+        pytest.param("n_tx = 8\nbudgets = 16", id="budgets = 16"),
+        "budgets = 64,abc"])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -163,8 +166,9 @@ class TestTrainEval:
         model = feedback_model(smoke_cfg)
         ckpt = tmp_path / "model.fmw"
         model.save(ckpt)
-        assert main(["eval", "--config", str(smoke_cfg),
-                     "--checkpoint", str(ckpt), "--budget", "64"]) == EXIT_DATA
+        for budget in ("64", "0"):
+            assert main(["eval", "--config", str(smoke_cfg), "--checkpoint",
+                         str(ckpt), "--budget", budget]) == EXIT_DATA
 
     def test_analyze_corr(self, smoke_cfg, tmp_path):
         out = tmp_path / "corr.csv"

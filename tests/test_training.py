@@ -170,22 +170,31 @@ class TestDifferentiableEigen:
         assert x.grad is not None and np.any(x.grad != 0.0)
 
 
+def scripted_fit(report, losses, **cfg):
+    """``_fit`` with no parameters whose batch losses are ``losses``."""
+    values = iter(losses)
+    tr._fit(report, [], TrainConfig(steps=len(losses), **cfg), 1,
+            np.random.default_rng(0), lambda idx: Tensor(next(values)))
+
+
 class TestGuardAndConfig:
     def test_nonfinite_loss_aborts_immediately(self):
-        guard = tr._Guard(TrainConfig())
+        report = TrainReport()
         with pytest.raises(DivergenceError):
-            guard.check(float("nan"))
+            scripted_fit(report, [float("nan"), 1.0])
+        assert report.losses == []
 
     def test_divergence_needs_consecutive_streak(self):
-        guard = tr._Guard(TrainConfig(divergence_patience=3))
-        guard.check(1.0)
-        guard.check(100.0)
-        guard.check(100.0)
-        guard.check(1.0)  # streak broken
-        guard.check(100.0)
-        guard.check(100.0)
+        # the streak of 100x losses is broken by the fourth loss
+        losses = [1.0, 100.0, 100.0, 1.0, 100.0, 100.0]
+        report = TrainReport()
+        scripted_fit(report, losses, divergence_patience=3)
+        assert report.losses == losses
+        report = TrainReport()
         with pytest.raises(DivergenceError):
-            guard.check(100.0)
+            scripted_fit(report, losses + [100.0, 1.0],
+                         divergence_patience=3)
+        assert report.losses == losses
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -334,7 +343,7 @@ class TestEstimationTraining:
         geom = small_geom()
         channels = self.channels(geom)
         cfg = TrainConfig(steps=1, batch_size=2, snr_db_min=float("inf"),
-                          snr_db_max=float("inf"), phase_augment=True)
+                          snr_db_max=float("inf"))
         rng = np.random.default_rng(1)
         noisy, clean, _ = tr._estimation_batch(channels, geom, [0, 1], cfg,
                                                rng)
@@ -350,7 +359,9 @@ class TestEstimationTraining:
                                       n_heads=2, encoder_depth=1,
                                       decoder_depth=1, d_latent=2,
                                       keep_count=1, seed=1))
-        rep = train_end_to_end(est, fb, self.channels(geom, 4), geom,
+        channels = self.channels(geom, 4)
+        eigens = [compute_precoders(h, geom) for h in channels]
+        rep = train_end_to_end(est, fb, channels, eigens, geom,
                                TrainConfig(steps=2, batch_size=2,
                                            eig_iterations=4))
         assert len(rep.losses) == 2
@@ -363,9 +374,10 @@ class TestEstimationTraining:
                                       n_heads=2, encoder_depth=1,
                                       decoder_depth=1, d_latent=2,
                                       keep_count=1, seed=1))
-        est_rep, fb_rep = train_splited(est, fb, self.channels(geom, 4),
-                                        geom, TrainConfig(steps=3,
-                                                          batch_size=2))
+        channels = self.channels(geom, 4)
+        eigens = [compute_precoders(h, geom) for h in channels]
+        est_rep, fb_rep = train_splited(est, fb, channels, eigens, geom,
+                                        TrainConfig(steps=3, batch_size=2))
         assert len(est_rep.losses) == 6  # two phases
         assert len(fb_rep.losses) == 3
 
@@ -418,6 +430,8 @@ class TestGraphSize:
                                       decoder_depth=1, d_latent=2,
                                       keep_count=2, seed=1))
         channels = generate_batch(geom, MultipathProfile(seed=12), 4)
+        eigens = [compute_precoders(h, geom) for h in channels]
         nodes = self.step_nodes(monkeypatch, lambda: train_end_to_end(
-            est, fb, channels, geom, TrainConfig(steps=1, batch_size=2)))
+            est, fb, channels, eigens, geom,
+            TrainConfig(steps=1, batch_size=2)))
         assert nodes <= 658
