@@ -14,11 +14,13 @@ frees it, so one graph per training step needs no explicit reset.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
 
 _CHECK_FINITE = False
+_TAPE = True  # False inside no_tape()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -28,6 +30,17 @@ def set_checked(enabled: bool) -> None:
     """Toggle NaN/Inf rejection at Tensor construction."""
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
+
+
+@contextmanager
+def no_tape():
+    """Scope in which op results keep no parents or backward closure."""
+    global _TAPE
+    saved, _TAPE = _TAPE, False
+    try:
+        yield
+    finally:
+        _TAPE = saved
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -67,7 +80,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _TAPE and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -9,7 +9,7 @@ arrays indexed [subband, tx] with unit-norm rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,10 +129,8 @@ def generate_batch(geom: SystemGeometry, profile: MultipathProfile,
 
 @dataclass
 class PilotObservation:
-    data: np.ndarray  # complex [rx, pilot index, tx]
-    snr_db: float
-    seed: int
-    pilot_indices: np.ndarray = field(default=None)
+    data: np.ndarray  # complex [..., rx, pilot, tx]; leading axes are samples
+    pilot_indices: np.ndarray = None
 
 
 def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db: float,
@@ -150,12 +148,12 @@ def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db: float,
         var = 10.0 ** (-snr_db / 10.0)
         noise = (rng.standard_normal(obs.shape) + 1j * rng.standard_normal(obs.shape))
         obs = obs + noise * math.sqrt(var / 2.0)
-    return PilotObservation(data=obs, snr_db=snr_db, seed=seed,
-                            pilot_indices=idx.copy())
+    return PilotObservation(data=obs, pilot_indices=idx.copy())
 
 
 def ls_estimate(obs: PilotObservation, pilot_symbols=None) -> np.ndarray:
-    """Closed-form per-entry LS estimate y / s at the pilot subcarriers.
+    """Closed-form per-entry LS estimate y / s at the pilot subcarriers,
+    with one symbol per pilot (or one for all of them).
 
     With the default unit pilots this is bit-identical to the observation.
     """
@@ -164,27 +162,28 @@ def ls_estimate(obs: PilotObservation, pilot_symbols=None) -> np.ndarray:
     s = np.asarray(pilot_symbols, dtype=np.complex128)
     if np.any(np.abs(s) == 0):
         raise ZeroDivisionError("zero pilot symbol")
-    return obs.data / s
+    return obs.data / s.reshape(-1, 1)
 
 
 def interpolate_frequency(partial: np.ndarray, pilot_indices: np.ndarray,
                           n_sub: int) -> np.ndarray:
-    """Linear interpolation of real/imag parts across the subcarrier axis,
-    with constant extrapolation beyond the outermost pilots."""
-    pilot_indices = np.asarray(pilot_indices)
-    if pilot_indices.size < 2:
+    """Linear interpolation of ``partial`` [..., rx, pilot, tx] across the
+    subcarrier axis, with constant extrapolation beyond the outermost
+    pilots; the arithmetic is ``np.interp``'s."""
+    xp = np.asarray(pilot_indices)
+    if xp.size < 2:
         raise ValueError("need at least 2 pilot indices to interpolate")
-    n_rx, n_p, n_tx = partial.shape
-    if n_p != pilot_indices.size:
+    if partial.shape[-2] != xp.size:
         raise ValueError("partial channel / pilot index count mismatch")
-    grid = np.arange(n_sub)
-    out = np.empty((n_rx, n_sub, n_tx), dtype=np.complex128)
-    for r in range(n_rx):
-        for t in range(n_tx):
-            re = np.interp(grid, pilot_indices, partial[r, :, t].real)
-            im = np.interp(grid, pilot_indices, partial[r, :, t].imag)
-            out[r, :, t] = re + 1j * im
-    return out
+    # real view [..., rx, pilot, 2*tx]: re and im interleaved, lerped alike
+    y = np.ascontiguousarray(partial, dtype=np.complex128).view(np.float64)
+    grid = np.clip(np.arange(n_sub), xp[0], xp[-1])
+    left = np.searchsorted(xp, grid, side="right") - 1  # xp[left] <= grid
+    # the slope past the last pilot is 0 and only ever scaled by 0
+    slope = (np.diff(y, axis=-2, append=y[..., -1:, :])
+             / np.diff(xp, append=xp[-1] + 1)[:, None])
+    out = slope[..., left, :] * (grid - xp[left])[:, None] + y[..., left, :]
+    return out.view(np.complex128)
 
 
 def compute_precoders(h: np.ndarray, geom: SystemGeometry) -> np.ndarray:

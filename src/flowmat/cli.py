@@ -58,10 +58,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import numpy as np
-
-    from .evalharness import (_geometry, eval_estimation, eval_feedback,
-                              make_dataset)
+    from .evalharness import eval_estimation, eval_feedback, make_dataset
     from .model import FlowMatModel
     from .quantizer import UniformQuantizerSpec
 

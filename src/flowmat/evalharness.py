@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dataio
-from .channel import (MultipathProfile, SystemGeometry, compute_precoders,
-                      every_kth_pattern, generate_batch, interpolate_frequency,
-                      ls_estimate, observe_pilots)
+from .channel import (MultipathProfile, PilotObservation, SystemGeometry,
+                      compute_precoders, every_kth_pattern, generate_batch,
+                      interpolate_frequency, ls_estimate, observe_pilots)
 from .model import (FlowMatModel, ModelConfig, estimate_pipeline,
                     feedback_pipeline, tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
@@ -23,7 +24,6 @@ from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
                         uniform_quantize)
 from .training import TrainConfig, train_feedback, train_joint_estimation, \
     train_progressive, train_splited, train_end_to_end
-from .autodiff import Tensor
 
 NMSE_FLOOR_DB = -120.0
 
@@ -99,11 +99,12 @@ def freq_correlation(x: np.ndarray) -> np.ndarray:
 def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
     """Non-learned feedback baseline at a given bit budget.
 
-    Keeps the first subbands that fit (each costs 2*n_tx*quant_bits bits for
-    its uniformly quantized real/imag parts), holds the last kept row for the
-    rest, and renormalizes. ``bits=None`` means an unconstrained budget.
+    Per matrix of ``w`` [..., subband, tx], keeps the first subbands that
+    fit (each costs 2*n_tx*quant_bits bits for its uniformly quantized
+    real/imag parts), holds the last kept row for the rest, and
+    renormalizes. ``bits=None`` means an unconstrained budget.
     """
-    n_subband, n_tx = w.shape
+    n_subband, n_tx = w.shape[-2:]
     if bits is None or math.isinf(bits):
         keep = n_subband
         out = w.astype(np.complex128).copy()
@@ -114,13 +115,13 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
             raise ValueError(f"budget {bits} cannot keep any subband")
         spec = UniformQuantizerSpec(bits=quant_bits, lo=-1.0, hi=1.0)
         out = np.empty_like(w, dtype=np.complex128)
-        kept = w[:keep]
-        out[:keep] = (
+        kept = w[..., :keep, :]
+        out[..., :keep, :] = (
             uniform_dequantize(uniform_quantize(kept.real, spec)[0], spec)
             + 1j * uniform_dequantize(uniform_quantize(kept.imag, spec)[0],
                                       spec))
-    out[keep:] = out[keep - 1]  # hold interpolation
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out[..., keep:, :] = out[..., keep - 1:keep, :]  # hold interpolation
+    out /= np.linalg.norm(out, axis=-1, keepdims=True)
     return out
 
 
@@ -295,37 +296,35 @@ def write_results_csv(path, results) -> None:
 
 def collect_latents(model: FlowMatModel, eigens) -> np.ndarray:
     aux = {}
-    tokens = np.stack([tokenize_eigen(w) for w in eigens])
-    model.feedback_forward(Tensor(tokens), aux=aux)
+    with ad.no_tape():
+        model.feedback_forward(ad.Tensor(tokenize_eigen(np.stack(eigens))),
+                               aux=aux)
     return aux["latent"].data
 
 
 def eval_feedback(model: FlowMatModel, eigens, quantizer=None) -> float:
-    recs = []
-    for w in eigens:
-        _, w_rec = feedback_pipeline(w, model, quantizer=quantizer)
-        recs.append(w_rec)
-    return rho(np.stack(eigens), np.stack(recs))
+    w = np.stack(eigens)
+    return rho(w, feedback_pipeline(w, model, quantizer=quantizer)[1])
+
+
+def _observe_all(channels, geom: SystemGeometry, snr_db: float,
+                 rng) -> PilotObservation:
+    """One pilot observation per channel, with noise seeds drawn from
+    ``rng`` in channel order, stacked into one observation."""
+    data = [observe_pilots(h, geom, snr_db, seed=int(rng.integers(2**31))).data
+            for h in channels]
+    return PilotObservation(np.stack(data), geom.pilot_pattern.pilot_indices)
 
 
 def eval_estimation(model: FlowMatModel, channels, geom: SystemGeometry,
                     snr_db: float, seed: int, trials_per_channel: int = 1):
-    """(model NMSE dB, LS+linear-interpolation NMSE dB) on the given set."""
-    model_err = truth_pow = ls_err = 0.0
-    rng = np.random.default_rng(seed)
-    for h in channels:
-        for _ in range(trials_per_channel):
-            obs = observe_pilots(h, geom, snr_db, seed=int(rng.integers(2**31)))
-            est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
-            ls = interpolate_frequency(ls_estimate(obs),
-                                       geom.pilot_pattern.pilot_indices,
-                                       geom.n_sub)
-            model_err += float(np.sum(np.abs(est - h) ** 2))
-            ls_err += float(np.sum(np.abs(ls - h) ** 2))
-            truth_pow += float(np.sum(np.abs(h) ** 2))
-    to_db = lambda e: max(10.0 * math.log10(max(e, 1e-300) / truth_pow),
-                          NMSE_FLOOR_DB)
-    return to_db(model_err), to_db(ls_err)
+    """(model NMSE dB, LS+linear-interpolation NMSE dB) on the given set,
+    each channel observed ``trials_per_channel`` times."""
+    truth = np.repeat(np.stack(channels), trials_per_channel, axis=0)
+    obs = _observe_all(truth, geom, snr_db, np.random.default_rng(seed))
+    est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
+    ls = interpolate_frequency(ls_estimate(obs), obs.pilot_indices, geom.n_sub)
+    return nmse_db(est, truth), nmse_db(ls, truth)
 
 
 def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
@@ -380,6 +379,11 @@ def run_experiment(cfg: dict, out_dir) -> list:
     n_pilots = geom.pilot_pattern.n_pilots
     results = []
 
+    def record(task_name, nmse, rho_val, budget=0, method="flowmat"):
+        results.append(EvalResult(task_name, nmse, rho_val, budget,
+                                  len(channels) - n_train, cfg["seed"], chash,
+                                  method))
+
     def feedback_model():
         return FlowMatModel(_from_cfg(ModelConfig, cfg,
                                       n_tokens=cfg["n_subband"],
@@ -403,14 +407,10 @@ def run_experiment(cfg: dict, out_dir) -> list:
                              lr=0.25 * tcfg.lr)
                 train_feedback(model, eigens[:n_train], ft, quantizer=quant)
             r = eval_feedback(model, eigens[n_train:], quantizer=quant)
-            results.append(EvalResult("feedback", float("nan"), r, budget,
-                                      len(eigens) - n_train, cfg["seed"],
-                                      chash))
-            trunc = [baseline_truncation(w, budget) for w in eigens[n_train:]]
-            r_tr = rho(np.stack(eigens[n_train:]), np.stack(trunc))
-            results.append(EvalResult("feedback", float("nan"), r_tr, budget,
-                                      len(eigens) - n_train, cfg["seed"],
-                                      chash, method="truncation"))
+            record("feedback", math.nan, r, budget)
+            test_w = np.stack(eigens[n_train:])
+            r = rho(test_w, baseline_truncation(test_w, budget))
+            record("feedback", math.nan, r, budget, "truncation")
             for name, t in model.params.items():
                 t.data[...] = base[name]
         model.save(out / "feedback.fmw")
@@ -429,12 +429,8 @@ def run_experiment(cfg: dict, out_dir) -> list:
             mdl_db, ls_db = eval_estimation(model, channels[n_train:], geom,
                                             snr, seed=cfg["seed"] + 1)
             rows.append(f"{snr!r},{mdl_db!r},{ls_db!r}")
-            results.append(EvalResult("estimation", mdl_db, float("nan"), 0,
-                                      len(channels) - n_train, cfg["seed"],
-                                      chash))
-            results.append(EvalResult("estimation", ls_db, float("nan"), 0,
-                                      len(channels) - n_train, cfg["seed"],
-                                      chash, method="ls_interp"))
+            record("estimation", mdl_db, math.nan)
+            record("estimation", ls_db, math.nan, method="ls_interp")
         (out / "snr_vs_nmse.csv").write_text("\n".join(rows) + "\n")
         model.save(out / "estimation.fmw")
 
@@ -451,11 +447,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
                                             eigens[:n_train], geom, tcfg)
             est_rep.write_csv(out / "loss_curve_estimation.csv")
             fb_rep.write_csv(out / "loss_curve_feedback.csv")
-        rho_val = eval_joint(est_model, fb_model, channels[n_train:], eigens[n_train:],
-                             geom, cfg)
-        results.append(EvalResult("joint", float("nan"), rho_val, 0,
-                                  len(channels) - n_train, cfg["seed"], chash,
-                                  method=regime))
+        r = eval_joint(est_model, fb_model, channels[n_train:],
+                       eigens[n_train:], geom, cfg)
+        record("joint", math.nan, r, method=regime)
         est_model.save(out / "estimation.fmw")
         fb_model.save(out / "feedback.fmw")
 
@@ -473,16 +467,12 @@ def run_experiment(cfg: dict, out_dir) -> list:
 
 def eval_joint(est_model, fb_model, channels, eigens, geom, cfg) -> float:
     """Composed estimation + feedback Rho on frozen models."""
-    rng = np.random.default_rng(cfg["seed"] + 2)
-    preds = []
-    for h in channels:
-        snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
-        obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
-        h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
-        w_est = compute_precoders(h_est, geom)
-        _, w_rec = feedback_pipeline(w_est, fb_model)
-        preds.append(w_rec)
-    return rho(np.stack(eigens), np.stack(preds))
+    snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
+    obs = _observe_all(channels, geom, snr,
+                       np.random.default_rng(cfg["seed"] + 2))
+    h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
+    w_est = np.stack([compute_precoders(h, geom) for h in h_est])
+    return rho(np.stack(eigens), feedback_pipeline(w_est, fb_model)[1])
 
 
 def analyze_corr(cfg: dict, out_path) -> np.ndarray:
@@ -543,11 +533,9 @@ def export_dataset(cfg: dict, out_path, kind: str = "channel") -> int:
     elif kind == "eigen":
         dataio.write_records(out_path, dataio.KIND_EIGEN, eigens)
     elif kind == "pilot":
-        rng = np.random.default_rng(cfg["seed"] + 3)
-        obs = [observe_pilots(h, geom, cfg["snr_db_min"],
-                              seed=int(rng.integers(2**31))).data
-               for h in channels]
-        dataio.write_records(out_path, dataio.KIND_PILOT, obs)
+        obs = _observe_all(channels, geom, cfg["snr_db_min"],
+                           np.random.default_rng(cfg["seed"] + 3))
+        dataio.write_records(out_path, dataio.KIND_PILOT, obs.data)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     return cfg["n_samples"]

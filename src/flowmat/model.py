@@ -72,7 +72,7 @@ class ModelConfig:
 
 
 def tokenize_eigen(w: np.ndarray) -> np.ndarray:
-    """[subband, tx] complex -> [subband, 2*tx] real (re halves then im)."""
+    """[..., subband, tx] complex -> [..., subband, 2*tx] real, re then im."""
     return np.concatenate([w.real, w.imag], axis=-1)
 
 
@@ -82,17 +82,15 @@ def detokenize_eigen(tokens: np.ndarray) -> np.ndarray:
 
 
 def tokenize_channel(h: np.ndarray) -> np.ndarray:
-    """[rx, subcarrier, tx] complex -> [subcarrier, 2*rx*tx] real tokens."""
-    n_rx, n_sub, n_tx = h.shape
-    flat = np.transpose(h, (1, 0, 2)).reshape(n_sub, n_rx * n_tx)
+    """[..., rx, sub, tx] complex -> [..., sub, 2*rx*tx] real tokens."""
+    flat = np.swapaxes(h, -3, -2).reshape(h.shape[:-3] + (h.shape[-2], -1))
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def detokenize_channel(tokens: np.ndarray, n_rx: int, n_tx: int) -> np.ndarray:
     half = tokens.shape[-1] // 2
     flat = tokens[..., :half] + 1j * tokens[..., half:]
-    n_sub = tokens.shape[-2]
-    return np.transpose(flat.reshape(n_sub, n_rx, n_tx), (1, 0, 2))
+    return np.swapaxes(flat.reshape(flat.shape[:-1] + (n_rx, n_tx)), -3, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +390,12 @@ class FlowMatModel:
         if isinstance(quantizer, qz.UniformQuantizerSpec):
             lat, _, payload = qz.uniform_quantize_st(lat, quantizer)
         elif isinstance(quantizer, qz.VqCodebook):
-            flat = (lat if lat.data.ndim == 2
-                    else ad.reshape(lat, (-1, cfg.d_latent)))
+            flat = ad.reshape(lat, (-1, cfg.d_latent))
             quantized, idx, payload = qz.vq_apply_st(flat, quantizer)
             if aux is not None:
                 aux["latent_flat"] = flat
                 aux["vq_indices"] = idx
-            lat = (quantized if lat.data.ndim == 2
-                   else ad.reshape(quantized, lat.data.shape))
+            lat = ad.reshape(quantized, lat.data.shape)
         elif quantizer is not None:
             raise ValueError("quantizer must be a spec, codebook, or None")
 
@@ -527,23 +523,30 @@ class FlowMatModel:
 
 
 def feedback_pipeline(w: np.ndarray, model: FlowMatModel, quantizer=None):
-    """Eigen matrix -> quantized payload -> reconstructed eigen matrix.
+    """Eigen matrices [..., subband, tx] -> payload -> reconstruction.
 
-    Rows of the reconstruction are renormalized to unit norm. Returns
-    (BitPayload or None, complex [subband, tx] reconstruction).
+    Leading axes of ``w`` are samples, run in one tape-free forward pass.
+    Reconstructed rows are renormalized to unit norm. Returns (BitPayload
+    or None, complex reconstruction shaped like ``w``). The payload holds
+    the samples' bit streams back to back, so at a multiple of 8 bits per
+    sample its bytes are the per-sample payloads' bytes concatenated.
     """
     norms = np.linalg.norm(w, axis=-1)
     if np.any(norms < 1e-12) or np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("eigen matrix rows must be unit norm")
-    tokens = Tensor(tokenize_eigen(w))
-    rec, payload, _ = model.feedback_forward(tokens, quantizer=quantizer)
+    with ad.no_tape():
+        tokens = Tensor(tokenize_eigen(w))
+        rec, payload, _ = model.feedback_forward(tokens, quantizer=quantizer)
     w_rec = detokenize_eigen(rec.data)
     w_rec /= np.linalg.norm(w_rec, axis=-1, keepdims=True)
     return payload, w_rec
 
 
 def estimate_pipeline(obs, model: FlowMatModel, n_rx: int, n_tx: int) -> np.ndarray:
-    """Pilot observation -> denoise -> mask-token completion -> channel."""
-    tokens = Tensor(tokenize_channel(obs.data))
-    _, rec = model.estimate_forward(tokens, obs.pilot_indices)
+    """Pilot observation [..., rx, pilot, tx] -> denoise -> mask-token
+    completion -> channel [..., rx, subcarrier, tx]; leading axes are
+    samples, run in one tape-free forward pass."""
+    with ad.no_tape():
+        tokens = Tensor(tokenize_channel(obs.data))
+        _, rec = model.estimate_forward(tokens, obs.pilot_indices)
     return detokenize_channel(rec.data, n_rx, n_tx)

@@ -238,6 +238,46 @@ class TestBackwardMechanics:
                                    Tensor(np.ones(2)), h=1e-2)
 
 
+class TestNoTape:
+    @staticmethod
+    def assert_untaped(t):
+        assert t._parents == ()
+        assert t._backward is None
+        assert t.requires_grad is False
+
+    def test_results_inside_keep_no_graph(self):
+        w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        with ad.no_tape():
+            y = ad.matmul(w, w)
+            with ad.no_tape():
+                inner = ad.add(y, w)
+            after_inner = ad.gelu(ad.mul(w, 2.0))
+            out = ad.tsum(ad.softmax_rows(ad.add(after_inner, inner)))
+        for t in (y, inner, after_inner, out):
+            self.assert_untaped(t)
+        np.testing.assert_array_equal(y.data, w.data @ w.data)
+        assert w.requires_grad  # leaves keep their flag
+
+    def test_recording_resumes_after_block(self):
+        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with ad.no_tape():
+            ad.mul(w, w)
+        out = ad.tsum(ad.mul(w, w))
+        assert out.requires_grad and out._parents
+        out.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, -4.0])
+
+    def test_recording_resumes_after_block_raises(self):
+        w = Tensor(np.array([3.0]), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_tape():
+                self.assert_untaped(ad.mul(w, w))
+                raise RuntimeError("inside")
+        out = ad.tsum(ad.mul(w, w))
+        out.backward()
+        np.testing.assert_array_equal(w.grad, [6.0])
+
+
 class TestAdam:
     def test_quadratic_convergence(self):
         x = Tensor(np.array([5.0, -3.0]), requires_grad=True)

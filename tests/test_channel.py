@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from flowmat.channel import (MultipathProfile, PilotPattern, SystemGeometry,
+from flowmat.channel import (MultipathProfile, PilotObservation,
+                             PilotPattern, SystemGeometry,
                              compute_precoders, every_kth_pattern,
                              generate_batch, generate_channel,
                              interpolate_frequency, ls_estimate,
@@ -118,6 +119,29 @@ class TestObservationAndLs:
         with pytest.raises(ZeroDivisionError):
             ls_estimate(obs, pilot_symbols=np.zeros(1))
 
+    @pytest.mark.parametrize("n_tx", [4, 8])  # 8 pilots: n_tx != / == it
+    def test_ls_divides_each_pilot_by_its_symbol(self, n_tx):
+        geom = make_geom(n_tx=n_tx)
+        h = generate_channel(geom, MultipathProfile(seed=3))
+        obs = observe_pilots(h, geom, 10.0, seed=4)
+        rng = np.random.default_rng(5)
+        s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        est = ls_estimate(obs, pilot_symbols=s)
+        for p in range(8):
+            np.testing.assert_array_equal(est[:, p, :],
+                                          obs.data[:, p, :] / s[p])
+
+    def test_ls_on_stacked_observation(self):
+        geom = make_geom()
+        obs = [observe_pilots(generate_channel(geom, MultipathProfile(seed=i)),
+                              geom, 10.0, seed=i) for i in range(3)]
+        stacked = PilotObservation(np.stack([o.data for o in obs]),
+                                   geom.pilot_pattern.pilot_indices)
+        s = np.arange(1.0, 9.0) * (1.0 - 0.5j)
+        np.testing.assert_array_equal(
+            ls_estimate(stacked, pilot_symbols=s),
+            np.stack([ls_estimate(o, pilot_symbols=s) for o in obs]))
+
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
     def test_ls_noise_law(self, snr_db):
         # Monte-Carlo pilot NMSE must equal -SNR dB within 0.3 dB: with unit
@@ -156,6 +180,30 @@ class TestInterpolation:
         out = interpolate_frequency(part, np.array([2, 4]), 8)
         np.testing.assert_allclose(out[0, :2, 0], 2.0)
         np.testing.assert_allclose(out[0, 5:, 0], 1.0)
+
+    def test_matches_np_interp_per_entry(self):
+        rng = np.random.default_rng(6)
+        idx = np.array([1, 2, 5, 9, 10])
+        part = (rng.standard_normal((2, 5, 3))
+                + 1j * rng.standard_normal((2, 5, 3)))
+        out = interpolate_frequency(part, idx, 13)
+        grid = np.arange(13)
+        for r in range(2):
+            for t in range(3):
+                ref = (np.interp(grid, idx, part[r, :, t].real)
+                       + 1j * np.interp(grid, idx, part[r, :, t].imag))
+                np.testing.assert_array_equal(out[r, :, t], ref)
+
+    def test_stacked_equals_per_sample(self):
+        rng = np.random.default_rng(7)
+        idx = np.array([0, 3, 4, 7])
+        part = (rng.standard_normal((3, 2, 4, 2))
+                + 1j * rng.standard_normal((3, 2, 4, 2)))
+        out = interpolate_frequency(part, idx, 9)
+        assert out.shape == (3, 2, 9, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[i], interpolate_frequency(part[i], idx, 9))
 
     def test_needs_two_pilots(self):
         with pytest.raises(ValueError):

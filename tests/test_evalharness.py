@@ -15,7 +15,10 @@ from flowmat.evalharness import (ConfigError, DEFAULTS, EvalResult,
                                  freq_correlation, make_dataset, nmse_db,
                                  parse_config, rho, run_experiment,
                                  write_results_csv)
-from flowmat.model import ModelConfig
+from flowmat.channel import (compute_precoders, interpolate_frequency,
+                             ls_estimate, observe_pilots)
+from flowmat.model import (FlowMatModel, ModelConfig, estimate_pipeline,
+                           feedback_pipeline)
 from flowmat.training import TrainConfig
 
 
@@ -148,6 +151,91 @@ class TestTruncationBaseline:
         out = baseline_truncation(w, 64)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("bits", [16, 32, 64, None])
+    def test_stacked_equals_per_sample(self, bits):
+        w = unit_rows(np.random.default_rng(15), (5, 8, 2))
+        out = baseline_truncation(w, bits)
+        np.testing.assert_array_equal(
+            out, np.stack([baseline_truncation(wi, bits) for wi in w]))
+
+
+def _eval_estimation_loop(model, channels, geom, snr_db, seed,
+                          trials_per_channel=1):
+    """Per-sample reference: one observation and pipeline call at a time,
+    errors accumulated over the set."""
+    model_err = truth_pow = ls_err = 0.0
+    rng = np.random.default_rng(seed)
+    for h in channels:
+        for _ in range(trials_per_channel):
+            obs = observe_pilots(h, geom, snr_db,
+                                 seed=int(rng.integers(2**31)))
+            est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
+            ls = interpolate_frequency(ls_estimate(obs),
+                                       geom.pilot_pattern.pilot_indices,
+                                       geom.n_sub)
+            model_err += float(np.sum(np.abs(est - h) ** 2))
+            ls_err += float(np.sum(np.abs(ls - h) ** 2))
+            truth_pow += float(np.sum(np.abs(h) ** 2))
+    return (10.0 * math.log10(model_err / truth_pow),
+            10.0 * math.log10(ls_err / truth_pow))
+
+
+def _eval_joint_loop(est_model, fb_model, channels, eigens, geom, cfg):
+    """Per-sample reference for ``eval_joint``."""
+    rng = np.random.default_rng(cfg["seed"] + 2)
+    preds = []
+    for h in channels:
+        snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
+        obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
+        h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
+        w_est = compute_precoders(h_est, geom)
+        _, w_rec = feedback_pipeline(w_est, fb_model)
+        preds.append(w_rec)
+    return rho(np.stack(eigens), np.stack(preds))
+
+
+class TestBatchedEval:
+    """The one-call evaluations against per-sample loops."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        cfg = dict(DEFAULTS, n_samples=12, n_sub=8, n_subband=4, n_tx=2,
+                   n_rx=2, d_model=8, n_heads=2, encoder_depth=1,
+                   decoder_depth=1, d_latent=2, keep_count=2, seed=4)
+        geom, channels, eigens, _ = make_dataset(cfg)
+        n_pilots = geom.pilot_pattern.n_pilots
+        est = FlowMatModel(eh._from_cfg(
+            ModelConfig, cfg, n_tokens=8, token_dim=8, keep_count=n_pilots,
+            n_pilot_tokens=n_pilots, token_reduction="query"))
+        fb = FlowMatModel(eh._from_cfg(ModelConfig, cfg, n_tokens=4,
+                                       token_dim=4))
+        rng = np.random.default_rng(9)
+        for model in (est, fb):  # move every parameter off its init
+            for t in model.params.values():
+                t.data = t.data + 0.1 * rng.standard_normal(t.data.shape)
+        return cfg, geom, channels, eigens, est, fb
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_estimation_matches_per_sample_loop(self, setup, trials):
+        cfg, geom, channels, _, est, _ = setup
+        got = eh.eval_estimation(est, channels, geom, 5.0, seed=3,
+                                 trials_per_channel=trials)
+        ref = _eval_estimation_loop(est, channels, geom, 5.0, seed=3,
+                                    trials_per_channel=trials)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+
+    def test_joint_matches_per_sample_loop(self, setup):
+        cfg, geom, channels, eigens, est, fb = setup
+        got = eh.eval_joint(est, fb, channels, eigens, geom, cfg)
+        ref = _eval_joint_loop(est, fb, channels, eigens, geom, cfg)
+        assert abs(got - ref) <= 1e-12
+
+    def test_feedback_matches_per_sample_calls(self, setup):
+        _, _, _, eigens, _, fb = setup
+        recs = [feedback_pipeline(w, fb)[1] for w in eigens]
+        assert eh.eval_feedback(fb, eigens) == rho(np.stack(eigens),
+                                                   np.stack(recs))
 
 
 class TestConfigParsing:

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import flowmat.autodiff as ad
+import flowmat.quantizer as qz
 from flowmat.autodiff import Tensor
+from flowmat.channel import (MultipathProfile, PilotObservation,
+                             SystemGeometry, every_kth_pattern,
+                             generate_channel, observe_pilots)
 from flowmat.dataio import FormatError
 from flowmat.model import (FlowMatModel, HARD_BIAS, ModelConfig,
                            build_decoder_bias, build_mask_bias,
@@ -34,6 +38,16 @@ class TestTokenization:
         h = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
         tokens = tokenize_channel(h)
         assert tokens.shape == (5, 12)
+        np.testing.assert_array_equal(detokenize_channel(tokens, 2, 3), h)
+
+    def test_channel_leading_axis_round_trip(self):
+        rng = np.random.default_rng(3)
+        h = (rng.standard_normal((4, 2, 5, 3))
+             + 1j * rng.standard_normal((4, 2, 5, 3)))
+        tokens = tokenize_channel(h)
+        assert tokens.shape == (4, 5, 12)
+        for i in range(4):
+            np.testing.assert_array_equal(tokens[i], tokenize_channel(h[i]))
         np.testing.assert_array_equal(detokenize_channel(tokens, 2, 3), h)
 
     def test_channel_tokens_are_rx_major(self):
@@ -297,6 +311,55 @@ class TestPipelines:
         model = FlowMatModel(tiny_config())
         with pytest.raises(ValueError):
             feedback_pipeline(np.ones((6, 4), complex), model)
+
+    @staticmethod
+    def unit_eigens(seed, count):
+        rng = np.random.default_rng(seed)
+        w = (rng.standard_normal((count, 6, 4))
+             + 1j * rng.standard_normal((count, 6, 4)))
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+    def quantizers(self, model, w):
+        aux = {}
+        model.feedback_forward(Tensor(tokenize_eigen(w)), aux=aux)
+        # 3 kept tokens x 2 latent dims: 24 bits at 4 bits per scalar and
+        # with 256 codewords, 12 bits with 16 codewords
+        return {"uniform": qz.calibrate_uniform(aux["latent"].data, 4),
+                "vq256": qz.make_codebook(256, 2, seed=1),
+                "vq16": qz.make_codebook(16, 2, seed=1)}
+
+    @pytest.mark.parametrize("name", ["uniform", "vq256", "vq16"])
+    def test_batched_feedback_pipeline_equals_per_sample(self, name):
+        model = FlowMatModel(tiny_config())
+        w = self.unit_eigens(16, 5)
+        quant = self.quantizers(model, w)[name]
+        payload, rec = feedback_pipeline(w, model, quantizer=quant)
+        singles = [feedback_pipeline(wi, model, quantizer=quant) for wi in w]
+        np.testing.assert_array_equal(rec, np.stack([r for _, r in singles]))
+        per = singles[0][0].bit_length
+        assert payload.bit_length == 5 * per
+        bits = np.unpackbits(np.frombuffer(payload.data, np.uint8))
+        single_bits = [np.unpackbits(np.frombuffer(p.data, np.uint8))[:per]
+                       for p, _ in singles]
+        np.testing.assert_array_equal(bits[:5 * per],
+                                      np.concatenate(single_bits))
+        if per % 8 == 0:
+            assert payload.data == b"".join(p.data for p, _ in singles)
+
+    def test_batched_estimate_pipeline_equals_per_sample(self):
+        geom = SystemGeometry(n_tx=2, n_rx=1, n_sub=8, n_subband=2,
+                              pilot_pattern=every_kth_pattern(8, 2))
+        model = FlowMatModel(TestDenoiserAndEstimation().est_config())
+        rng = np.random.default_rng(17)
+        model.params["mix_out"].data = rng.standard_normal((4, 4)) * 0.1
+        obs = [observe_pilots(generate_channel(geom, MultipathProfile(seed=i)),
+                              geom, 10.0, seed=i) for i in range(5)]
+        stacked = PilotObservation(np.stack([o.data for o in obs]),
+                                   geom.pilot_pattern.pilot_indices)
+        est = estimate_pipeline(stacked, model, geom.n_rx, geom.n_tx)
+        assert est.shape == (5, 1, 8, 2)
+        np.testing.assert_array_equal(
+            est, np.stack([estimate_pipeline(o, model, 1, 2) for o in obs]))
 
 
 class TestCheckpointIO:
