@@ -36,6 +36,8 @@ class PilotPattern:
 
 
 def every_kth_pattern(n_sub: int, step: int, offset: int = 0) -> PilotPattern:
+    if step < 1:
+        raise ValueError(f"pilot step must be >= 1, not {step}")
     return PilotPattern("custom", np.arange(offset, n_sub, step))
 
 

@@ -58,9 +58,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evalharness import eval_estimation, eval_feedback, make_dataset
+    from .evalharness import (eval_estimation, eval_feedback, make_dataset,
+                              uniform_budget_spec)
     from .model import FlowMatModel
-    from .quantizer import UniformQuantizerSpec
 
     cfg = _load_config(args.config)
     model = FlowMatModel.load(args.checkpoint)
@@ -72,26 +72,24 @@ def _cmd_eval(args) -> int:
     else:
         quant = None
         if args.budget is not None:
-            per_scalar = args.budget // (model.cfg.keep_count *
-                                         model.cfg.d_latent)
-            lo = model.metadata.get(f"uq_lo_{args.budget}")
-            hi = model.metadata.get(f"uq_hi_{args.budget}")
-            if lo is None or hi is None:
+            quant = uniform_budget_spec(model, args.budget)
+            if quant is None:
                 print("checkpoint lacks calibration for this budget",
                       file=sys.stderr)
                 return EXIT_DATA
-            quant = UniformQuantizerSpec(bits=per_scalar, lo=lo, hi=hi)
         r = eval_feedback(model, eigens[n_train:], quantizer=quant)
         print(f"rho={r}")
     return EXIT_OK
 
 
 def _cmd_analyze_corr(args) -> int:
+    import numpy as np
+
     from .evalharness import analyze_corr
 
     cfg = _load_config(args.config)
     corr = analyze_corr(cfg, args.out)
-    off = corr[~__import__("numpy").eye(corr.shape[0], dtype=bool)]
+    off = corr[~np.eye(corr.shape[0], dtype=bool)]
     print(f"wrote {corr.shape[0]}x{corr.shape[1]} correlation matrix to "
           f"{args.out}; mean off-diagonal {off.mean():.4f}")
     return EXIT_OK
@@ -107,6 +105,8 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .evalharness import TASK_REGIMES
+
     parser = argparse.ArgumentParser(prog="flowmat")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run gen -> train -> eval")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--task", choices=["estimate", "feedback", "joint"])
-    p.add_argument("--regime", choices=["progressive", "joint", "end_to_end",
-                                        "splited"])
+    p.add_argument("--task", choices=list(TASK_REGIMES))
+    p.add_argument("--regime", choices=[r for regimes in TASK_REGIMES.values()
+                                        for r in regimes])
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained checkpoint")

@@ -7,7 +7,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from .channel import (MultipathProfile, PilotObservation, SystemGeometry,
                       compute_precoders, every_kth_pattern, generate_batch,
                       interpolate_frequency, ls_estimate, observe_pilots)
 from .model import (FlowMatModel, ModelConfig, estimate_pipeline,
-                    feedback_pipeline, tokenize_eigen)
+                    feedback_pipeline, parse_value, tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
                         make_codebook, payload_bits, uniform_dequantize,
                         uniform_quantize)
@@ -129,57 +129,33 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
 # Run configuration
 # ---------------------------------------------------------------------------
 
+# The keys spelled out here have no dataclass default. Every other key is a
+# field of the run's dataclasses and takes that field's default, except
+# ``n_pilot_tokens``, which the task fixes, and ``divergence_patience``.
 DEFAULTS = {
     # task / orchestration
     "task": "feedback",            # feedback | estimate | joint
     "regime": "progressive",       # see TASK_REGIMES
-    "seed": 0,
-    # geometry
+    # geometry sizes and the pilot comb
     "n_tx": 8,
     "n_rx": 2,
     "n_sub": 32,
     "n_subband": 8,
     "pilot_step": 2,
     "pilot_offset": 0,
-    "subcarrier_spacing": 15e3,
-    # multipath profile
-    "n_paths": 3,
-    "delay_spread": 3e-7,
-    "angle_spread": math.pi,
     # dataset
     "n_samples": 64,
     "train_fraction": 0.95,
-    # model
-    "d_model": 64,
-    "n_heads": 4,
-    "encoder_depth": 3,
-    "decoder_depth": 3,
-    "d_latent": 4,
-    "keep_count": 4,
-    "mask_mode": "hard",
-    "mask_token_init": "zero",
-    "mask_token_trainable": True,
-    "learnable_query": True,
-    "share_projections": False,
-    "token_reduction": "query",
-    "mlp_expansion": 2,
-    "denoiser_blocks": 2,
-    "denoiser_expansion": 2,
-    # training
-    "steps": 1000,
-    "batch_size": 16,
-    "lr": 1e-3,
-    "lr_schedule": "cosine",
-    "snr_db_min": 10.0,
-    "snr_db_max": 10.0,
-    "loss_mode": "canonical",
-    "eig_iterations": 30,
     # quantization / evaluation
     "quantizer": "uniform",        # uniform | vq
     "finetune_steps": 1000,        # quantization-aware steps per bit budget
     "vq_codebook_size": 256,
     "budgets": "64,128,256",
     "eval_snrs_db": "0,10,20",
+    **{f.name: f.default
+       for cls in (SystemGeometry, MultipathProfile, ModelConfig, TrainConfig)
+       for f in fields(cls) if f.default is not MISSING
+       and f.name not in ("n_pilot_tokens", "divergence_patience")},
 }
 
 # the regimes each task trains with; feedback has one and ignores ``regime``
@@ -201,18 +177,8 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        default = DEFAULTS[key]
         try:
-            if isinstance(default, bool):
-                if value not in ("true", "false", "True", "False"):
-                    raise ValueError(value)
-                cfg[key] = value in ("true", "True")
-            elif isinstance(default, int):
-                cfg[key] = int(value)
-            elif isinstance(default, float):
-                cfg[key] = float(value)
-            else:
-                cfg[key] = value
+            cfg[key] = parse_value(value, type(DEFAULTS[key]))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return cfg
@@ -224,30 +190,34 @@ def config_hash(cfg: dict) -> str:
 
 
 def _geometry(cfg: dict) -> SystemGeometry:
-    pattern = every_kth_pattern(cfg["n_sub"], cfg["pilot_step"],
-                                cfg["pilot_offset"])
-    return SystemGeometry(n_tx=cfg["n_tx"], n_rx=cfg["n_rx"],
-                          n_sub=cfg["n_sub"], n_subband=cfg["n_subband"],
-                          pilot_pattern=pattern,
-                          subcarrier_spacing=cfg["subcarrier_spacing"])
+    try:
+        pattern = every_kth_pattern(cfg["n_sub"], cfg["pilot_step"],
+                                    cfg["pilot_offset"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _from_cfg(SystemGeometry, cfg, pilot_pattern=pattern)
 
 
 def _profile(cfg: dict) -> MultipathProfile:
-    return MultipathProfile(n_paths=cfg["n_paths"],
-                            delay_spread=cfg["delay_spread"],
-                            angle_spread=cfg["angle_spread"],
-                            seed=cfg["seed"])
+    return _from_cfg(MultipathProfile, cfg)
+
+
+def _n_train(cfg: dict) -> int:
+    """Training samples of the split: the first ``train_fraction`` of them,
+    leaving at least one test sample."""
+    return min(int(cfg["train_fraction"] * cfg["n_samples"]),
+               cfg["n_samples"] - 1)
 
 
 def make_dataset(cfg: dict):
     """Synthesize channels and their eigen-precoder labels; 95/5 split by
     sample index (first block trains, last block tests)."""
+    if cfg["n_samples"] < 1:
+        raise ConfigError(f"n_samples must be >= 1, not {cfg['n_samples']}")
     geom = _geometry(cfg)
     channels = generate_batch(geom, _profile(cfg), cfg["n_samples"])
     eigens = [compute_precoders(h, geom) for h in channels]
-    n_train = min(int(cfg["train_fraction"] * len(channels)),
-                  len(channels) - 1)
-    return geom, channels, eigens, n_train
+    return geom, channels, eigens, _n_train(cfg)
 
 
 def _from_cfg(cls, cfg: dict, **fixed):
@@ -327,6 +297,28 @@ def eval_estimation(model: FlowMatModel, channels, geom: SystemGeometry,
     return nmse_db(est, truth), nmse_db(ls, truth)
 
 
+def _uniform_bits(budget: int, keep_count: int, d_latent: int) -> int:
+    """Bits per latent scalar of a uniform quantizer spending ``budget``
+    bits on ``keep_count`` tokens of ``d_latent`` scalars each."""
+    return budget // (keep_count * d_latent)
+
+
+def _range_keys(budget: int):
+    """Model metadata keys of the uniform range calibrated for ``budget``."""
+    return f"uq_lo_{budget}", f"uq_hi_{budget}"
+
+
+def uniform_budget_spec(model: FlowMatModel, budget: int):
+    """The uniform quantizer that ``_budget_quantizer`` calibrated for
+    ``budget``, rebuilt from the range it recorded in ``model.metadata``;
+    None when the model holds no range for that budget."""
+    lo, hi = (model.metadata.get(key) for key in _range_keys(budget))
+    if lo is None or hi is None:
+        return None
+    bits = _uniform_bits(budget, model.cfg.keep_count, model.cfg.d_latent)
+    return UniformQuantizerSpec(bits=bits, lo=lo, hi=hi)
+
+
 def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
                       budget: int):
     """Quantizer instance hitting a budget that ``_budget_list`` accepted.
@@ -336,15 +328,14 @@ def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
     latents of ``train_eigens`` by ``calibrate_uniform_mse``: the
     symmetric percentile range (clipping 0-5 % per tail) with the least
     quantize-dequantize MSE, so a few outliers do not widen every cell.
-    The range is recorded as ``uq_lo_<budget>`` / ``uq_hi_<budget>`` in
-    the model metadata, from which ``flowmat eval --budget`` rebuilds it.
+    The range is recorded in the model metadata, from which
+    ``uniform_budget_spec`` rebuilds it for ``flowmat eval --budget``.
     """
     if cfg["quantizer"] == "uniform":
-        lats = collect_latents(model, train_eigens)
         spec = calibrate_uniform_mse(
-            lats, budget // (cfg["keep_count"] * cfg["d_latent"]))
-        model.metadata[f"uq_lo_{budget}"] = spec.lo
-        model.metadata[f"uq_hi_{budget}"] = spec.hi
+            collect_latents(model, train_eigens),
+            _uniform_bits(budget, cfg["keep_count"], cfg["d_latent"]))
+        model.metadata.update(zip(_range_keys(budget), (spec.lo, spec.hi)))
         return spec
     return make_codebook(cfg["vq_codebook_size"], cfg["d_latent"],
                          seed=cfg["seed"])
@@ -368,15 +359,30 @@ def run_experiment(cfg: dict, out_dir) -> list:
                           f"{' or '.join(TASK_REGIMES[task])}, not {regime!r}")
     if cfg["quantizer"] not in ("uniform", "vq"):
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
+    if _n_train(cfg) < 1:
+        raise ConfigError("the train/test split leaves no training sample")
+    n_pilots = _geometry(cfg).pilot_pattern.n_pilots
+    if task == "estimate" and n_pilots < 2:
+        raise ConfigError("the LS interpolation baseline needs at least 2 "
+                          f"pilots, not {n_pilots}")
+    _profile(cfg)  # a bad multipath profile fails here, before any work
     tcfg = _from_cfg(TrainConfig, cfg)
+    fb_cfg = est_cfg = None
+    if task != "estimate":
+        fb_cfg = _from_cfg(ModelConfig, cfg, n_tokens=cfg["n_subband"],
+                           token_dim=2 * cfg["n_tx"])
+    if task != "feedback":
+        est_cfg = _from_cfg(ModelConfig, cfg, n_tokens=cfg["n_sub"],
+                            token_dim=2 * cfg["n_tx"] * cfg["n_rx"],
+                            keep_count=n_pilots, n_pilot_tokens=n_pilots,
+                            token_reduction="query")
     budgets = _budget_list(cfg) if task == "feedback" else []
-    snrs = _snr_list(cfg) if task == "estimate" else []
+    snrs = _list(cfg, "eval_snrs_db", float) if task == "estimate" else []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     chash = config_hash(cfg)
     geom, channels, eigens, n_train = make_dataset(cfg)
-    n_pilots = geom.pilot_pattern.n_pilots
     results = []
 
     def record(task_name, nmse, rho_val, budget=0, method="flowmat"):
@@ -384,19 +390,8 @@ def run_experiment(cfg: dict, out_dir) -> list:
                                   len(channels) - n_train, cfg["seed"], chash,
                                   method))
 
-    def feedback_model():
-        return FlowMatModel(_from_cfg(ModelConfig, cfg,
-                                      n_tokens=cfg["n_subband"],
-                                      token_dim=2 * cfg["n_tx"]))
-
-    def estimation_model():
-        return FlowMatModel(_from_cfg(
-            ModelConfig, cfg, n_tokens=cfg["n_sub"],
-            token_dim=2 * cfg["n_tx"] * cfg["n_rx"], keep_count=n_pilots,
-            n_pilot_tokens=n_pilots, token_reduction="query"))
-
     if task == "feedback":
-        model = feedback_model()
+        model = FlowMatModel(fb_cfg)
         report = train_feedback(model, eigens[:n_train], tcfg)
         report.write_csv(out / "loss_curve.csv")
         base = {k: t.data.copy() for k, t in model.params.items()}
@@ -417,7 +412,7 @@ def run_experiment(cfg: dict, out_dir) -> list:
         _write_budget_curve(out / "budget_vs_rho.csv", results)
 
     elif task == "estimate":
-        model = estimation_model()
+        model = FlowMatModel(est_cfg)
         if regime == "joint":
             report = train_joint_estimation(model, channels[:n_train], geom,
                                             tcfg)
@@ -435,8 +430,8 @@ def run_experiment(cfg: dict, out_dir) -> list:
         model.save(out / "estimation.fmw")
 
     else:
-        est_model = estimation_model()
-        fb_model = feedback_model()
+        est_model = FlowMatModel(est_cfg)
+        fb_model = FlowMatModel(fb_cfg)
         if regime == "end_to_end":
             report = train_end_to_end(est_model, fb_model, channels[:n_train],
                                       eigens[:n_train], geom, tcfg)
@@ -489,15 +484,11 @@ def _budget_list(cfg: dict):
     """The feedback bit budgets, or ConfigError unless the configured
     quantizer hits each exactly and the truncation baseline keeps at least
     one subband at each."""
-    try:
-        budgets = [int(b) for b in str(cfg["budgets"]).split(",")
-                   if b.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad budgets list: {exc}")
+    budgets = _list(cfg, "budgets", int)
     m, d_q = cfg["keep_count"], cfg["d_latent"]
     for budget in budgets:
         if cfg["quantizer"] == "uniform":
-            per_scalar = budget // (m * d_q)
+            per_scalar = _uniform_bits(budget, m, d_q)
             if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
                 raise ConfigError(
                     f"budget {budget} not reachable with m={m}, d_latent={d_q}")
@@ -510,12 +501,12 @@ def _budget_list(cfg: dict):
     return budgets
 
 
-def _snr_list(cfg: dict):
+def _list(cfg: dict, key: str, typ: type) -> list:
+    """The comma-separated ``typ`` values of ``cfg[key]``."""
     try:
-        return [float(s) for s in str(cfg["eval_snrs_db"]).split(",")
-                if s.strip()]
+        return [typ(v) for v in str(cfg[key]).split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad eval_snrs_db list: {exc}")
+        raise ConfigError(f"bad {key} list: {exc}")
 
 
 def _write_budget_curve(path, results) -> None:

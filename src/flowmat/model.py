@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import typing
 import zlib
 from dataclasses import dataclass, asdict
 
@@ -64,6 +65,17 @@ class ModelConfig:
             raise ValueError("merge reduction needs keep_count | n_tokens")
         if min(self.encoder_depth, self.decoder_depth) < 1:
             raise ValueError("need at least one encoder and decoder block")
+
+
+def parse_value(text: str, typ: type):
+    """The ``key=value`` text form of a setting, as a bool, int, float or
+    str ``typ``: run-config lines and ``.fmw`` header lines alike.
+    Raises ValueError for text that is not a ``typ``."""
+    if typ is bool:
+        if text not in ("true", "false", "True", "False"):
+            raise ValueError(f"not a boolean: {text!r}")
+        return text in ("true", "True")
+    return typ(text)
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +488,13 @@ class FlowMatModel:
         block = body[off:off + blen].decode()
         off += blen
         cfg_kwargs, metadata = {}, {}
-        field_types = {f.name: f.type for f in
-                       ModelConfig.__dataclass_fields__.values()}
+        field_types = typing.get_type_hints(ModelConfig)
         for line in block.splitlines():
             key, _, value = line.partition("=")
             if key.startswith("meta."):
-                metadata[key[5:]] = float(value)
-                continue
-            typ = field_types[key]
-            if typ == "bool" or typ is bool:
-                cfg_kwargs[key] = value == "True"
-            elif typ == "int" or typ is int:
-                cfg_kwargs[key] = int(value)
-            elif typ == "float" or typ is float:
-                cfg_kwargs[key] = float(value)
+                metadata[key[5:]] = parse_value(value, float)
             else:
-                cfg_kwargs[key] = value
+                cfg_kwargs[key] = parse_value(value, field_types[key])
         model = cls(ModelConfig(**cfg_kwargs))
         model.metadata = metadata
 

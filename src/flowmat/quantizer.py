@@ -145,7 +145,7 @@ def calibrate_uniform_mse(latents: np.ndarray,
 class VqCodebook:
     vectors: Tensor  # [K, d_q], trainable
     beta: float = 0.25
-    usage: np.ndarray = field(default=None)
+    usage: np.ndarray = field(default=None)  # training assignments per word
 
     def __post_init__(self):
         k = self.vectors.data.shape[0]
@@ -179,7 +179,6 @@ def vq_assign(x: np.ndarray, codebook: VqCodebook):
     cb = codebook.vectors.data
     d2 = ((x[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
     idx = np.argmin(d2, axis=1)  # argmin picks the lowest index on ties
-    np.add.at(codebook.usage, idx, 1)
     payload = BitPayload(bit_length=x.shape[0] * codebook.index_bits,
                          data=pack_bits(idx, codebook.index_bits),
                          scheme=SCHEME_VQ)
@@ -190,9 +189,13 @@ def vq_apply_st(x: Tensor, codebook: VqCodebook):
     """Substitute nearest codewords with a straight-through gradient.
 
     Returns (quantized tensor, indices, payload). Gradients w.r.t. the
-    codebook flow only through ``vq_losses``.
+    codebook flow only through ``vq_losses``. Assignments made on a
+    recorded tape (``x.requires_grad``) add to ``codebook.usage``; those of
+    a tape-free evaluation do not.
     """
     idx, payload = vq_assign(x.data, codebook)
+    if x.requires_grad:
+        np.add.at(codebook.usage, idx, 1)
     codewords = codebook.vectors.data[idx]
     quantized = ad.straight_through(x, lambda _: codewords)
     return quantized, idx, payload

@@ -115,7 +115,16 @@ class TestExitCodes:
         "lr_schedule = cosin", "quantizer = float",
         # 16 bits cannot hold one truncated subband of 8 antennas (32 bits)
         pytest.param("n_tx = 8\nbudgets = 16", id="budgets = 16"),
-        "budgets = 64,abc"])
+        "budgets = 64,abc",
+        # geometry and multipath profile (n_sub = 8)
+        "n_subband = 5", "pilot_step = 0", "pilot_offset = 40",
+        "n_paths = 0", "delay_spread = 0.0",
+        # splits with no training sample
+        "train_fraction = 0.0", "n_samples = 1",
+        # one pilot cannot be linearly interpolated
+        pytest.param("task = estimate\npilot_step = 32",
+                     id="estimate with one pilot"),
+        pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads")])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -123,6 +132,18 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert not out_dir.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("command,setting", [
+        ("gen-data", "n_subband = 5"), ("analyze-corr", "n_subband = 5"),
+        ("gen-data", "n_samples = 0")])
+    def test_bad_setting_rejected_by_data_commands(self, tmp_path, command,
+                                                   setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE + setting + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_eigensolver_failure_in_joint_eval_exits_5(self, tmp_path,
                                                       monkeypatch, capsys):

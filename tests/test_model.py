@@ -1,6 +1,8 @@
 """Masked-token transformer: tokenization, mask biases, attention semantics,
 checkpoint I/O and the forward-pass contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,28 @@ class TestCheckpointIO:
         for name in model.params:
             np.testing.assert_array_equal(back.params[name].data,
                                           model.params[name].data)
+
+    def test_round_trip_non_default_settings(self, tmp_path):
+        # every int, bool and str field away from its default, so a header
+        # value parsed as the wrong type or read back as the default shows
+        cfg = ModelConfig(
+            n_tokens=8, token_dim=4, d_model=12, n_heads=3, encoder_depth=1,
+            decoder_depth=2, d_latent=3, keep_count=2, mask_mode="paper_literal",
+            mask_token_init="randn", mask_token_trainable=False,
+            learnable_query=False, share_projections=True, mlp_expansion=3,
+            denoiser_blocks=1, denoiser_expansion=3, n_pilot_tokens=2,
+            token_reduction="mlp", seed=7)
+        defaults = ModelConfig(n_tokens=1, token_dim=1, keep_count=1)
+        changed = {f.name for f in fields(ModelConfig)
+                   if getattr(cfg, f.name) != getattr(defaults, f.name)}
+        assert changed == {f.name for f in fields(ModelConfig)}
+        assert {type(getattr(cfg, n)) for n in changed} == {int, bool, str}
+        path = tmp_path / "model.fmw"
+        FlowMatModel(cfg).save(path)
+        back = FlowMatModel.load(path)
+        assert back.cfg == cfg
+        for name in changed:
+            assert type(getattr(back.cfg, name)) is type(getattr(cfg, name))
 
     def test_rewrite_bytes_identical(self, tmp_path):
         model = self.make_model()

@@ -181,9 +181,35 @@ class TestVectorQuantizer:
         assert idx[0] == 0
 
     def test_usage_counter(self):
+        # only assignments made on a recorded tape count: training steps,
+        # not plain assignments or tape-free evaluations
+        from flowmat.evalharness import eval_feedback
+        from flowmat.model import FlowMatModel, ModelConfig
+        from flowmat.training import TrainConfig, train_feedback
+
+        rng = np.random.default_rng(9)
         cb = make_codebook(4, 2, seed=2)
-        vq_assign(np.random.default_rng(9).standard_normal((10, 2)), cb)
+        vq_assign(rng.standard_normal((10, 2)), cb)
+        vq_apply_st(Tensor(rng.standard_normal((10, 2))), cb)
+        assert cb.usage.sum() == 0
+        vq_apply_st(Tensor(rng.standard_normal((10, 2)), requires_grad=True),
+                    cb)
         assert cb.usage.sum() == 10
+
+        model = FlowMatModel(ModelConfig(
+            n_tokens=4, token_dim=6, d_model=8, n_heads=2, encoder_depth=1,
+            decoder_depth=1, d_latent=2, keep_count=2))
+        w = rng.standard_normal((10, 4, 3)) + 1j * rng.standard_normal(
+            (10, 4, 3))
+        eigens = list(w / np.linalg.norm(w, axis=-1, keepdims=True))
+        for _ in range(2):
+            eval_feedback(model, eigens, quantizer=cb)
+        assert cb.usage.sum() == 10
+        train_feedback(model, eigens, TrainConfig(steps=3, batch_size=4),
+                       quantizer=cb)
+        assert cb.usage.sum() == 10 + 3 * 4 * 2  # steps x batch x keep_count
+        eval_feedback(model, eigens, quantizer=cb)
+        assert cb.usage.sum() == 10 + 3 * 4 * 2
 
     def test_apply_st_substitutes_codewords(self):
         cb = make_codebook(8, 2, seed=3)
