@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_top_eigpair
+from .linalg import hermitian_top_eigpairs
 
 
 @dataclass
@@ -84,9 +84,41 @@ class MultipathProfile:
             raise ValueError("delay spread must be positive")
 
 
-def _steering(n: int, angle: float) -> np.ndarray:
-    # half-wavelength ULA
-    return np.exp(-1j * math.pi * np.arange(n) * math.sin(angle))
+def _steering(n: int, angles: np.ndarray) -> np.ndarray:
+    """Half-wavelength ULA responses [..., n], one per angle."""
+    return np.exp(-1j * math.pi * np.arange(n) * np.sin(angles)[..., None])
+
+
+def _draw_paths(profile: MultipathProfile):
+    """Path gains, delays and rx/tx angles of one channel, each [n_paths]."""
+    rng = np.random.default_rng(profile.seed)
+    L = profile.n_paths
+    alpha = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / math.sqrt(2.0)
+    tau = rng.uniform(0.0, profile.delay_spread, size=L)
+    half = profile.angle_spread / 2.0
+    theta = rng.uniform(-half, half, size=L)  # rx angles
+    phi = rng.uniform(-half, half, size=L)  # tx angles
+    return alpha, tau, theta, phi
+
+
+def _build_channels(geom: SystemGeometry, profiles) -> np.ndarray:
+    """Channels [len(profiles), rx, subcarrier, tx] of ``profiles``, summed
+    path by path as one stacked array."""
+    alpha, tau, theta, phi = (np.stack(x) for x in
+                              zip(*(_draw_paths(p) for p in profiles)))
+    k = np.arange(geom.n_sub)
+    h = np.zeros((len(profiles), geom.n_rx, geom.n_sub, geom.n_tx),
+                 dtype=np.complex128)
+    for l in range(alpha.shape[1]):
+        a_rx = _steering(geom.n_rx, theta[:, l])
+        a_tx = _steering(geom.n_tx, phi[:, l])
+        ramp = np.exp(-2j * math.pi * k * geom.subcarrier_spacing
+                      * tau[:, l, None])
+        h += (alpha[:, l, None, None, None] * a_rx[:, :, None, None]
+              * ramp[:, None, :, None] * a_tx[:, None, None, :])
+    power = np.mean(np.abs(h) ** 2, axis=(1, 2, 3), keepdims=True)
+    h /= np.sqrt(power)
+    return h
 
 
 def generate_channel(geom: SystemGeometry, profile: MultipathProfile) -> np.ndarray:
@@ -98,35 +130,19 @@ def generate_channel(geom: SystemGeometry, profile: MultipathProfile) -> np.ndar
     [-angle_spread/2, angle_spread/2]. Normalized to unit average power per
     entry; deterministic per profile seed.
     """
-    rng = np.random.default_rng(profile.seed)
-    L = profile.n_paths
-    alpha = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / math.sqrt(2.0)
-    tau = rng.uniform(0.0, profile.delay_spread, size=L)
-    half = profile.angle_spread / 2.0
-    theta = rng.uniform(-half, half, size=L)  # rx angles
-    phi = rng.uniform(-half, half, size=L)  # tx angles
-
-    k = np.arange(geom.n_sub)
-    h = np.zeros((geom.n_rx, geom.n_sub, geom.n_tx), dtype=np.complex128)
-    for l in range(L):
-        a_rx = _steering(geom.n_rx, theta[l])
-        a_tx = _steering(geom.n_tx, phi[l])
-        ramp = np.exp(-2j * math.pi * k * geom.subcarrier_spacing * tau[l])
-        h += alpha[l] * a_rx[:, None, None] * ramp[None, :, None] * a_tx[None, None, :]
-    power = np.mean(np.abs(h) ** 2)
-    h /= math.sqrt(power)
-    return h
+    return _build_channels(geom, [profile])[0]
 
 
 def generate_batch(geom: SystemGeometry, profile: MultipathProfile,
-                   count: int) -> list[np.ndarray]:
-    """Independent channels with seeds derived from the profile seed."""
-    out = []
-    for i in range(count):
-        p = MultipathProfile(profile.n_paths, profile.delay_spread,
-                             profile.angle_spread, seed=profile.seed + i)
-        out.append(generate_channel(geom, p))
-    return out
+                   count: int) -> np.ndarray:
+    """Independent channels [count, rx, subcarrier, tx]; channel i is
+    ``generate_channel`` with the profile seed plus i."""
+    if count < 1:
+        raise ValueError(f"need at least one channel, not {count}")
+    return _build_channels(geom, [
+        MultipathProfile(profile.n_paths, profile.delay_spread,
+                         profile.angle_spread, seed=profile.seed + i)
+        for i in range(count)])
 
 
 @dataclass
@@ -191,16 +207,13 @@ def interpolate_frequency(partial: np.ndarray, pilot_indices: np.ndarray,
 def compute_precoders(h: np.ndarray, geom: SystemGeometry) -> np.ndarray:
     """Per-subband dominant eigenvector of the subband-averaged Gram matrix.
 
-    Returns a complex [n_subband, n_tx] matrix with unit-norm rows.
+    ``h`` is [..., rx, subcarrier, tx] with leading sample axes; every
+    Gram matrix of every sample is solved in one batched power iteration.
+    Returns complex [..., n_subband, n_tx] with unit-norm rows.
     """
-    size = geom.subband_size
-    w = np.empty((geom.n_subband, geom.n_tx), dtype=np.complex128)
-    for b in range(geom.n_subband):
-        gram = np.zeros((geom.n_tx, geom.n_tx), dtype=np.complex128)
-        for k in range(b * size, (b + 1) * size):
-            hk = h[:, k, :]  # [rx, tx]
-            gram += hk.conj().T @ hk
-        gram /= size
-        pair = hermitian_top_eigpair(gram)
-        w[b] = pair.vector
-    return w
+    lead = h.shape[:-3]
+    hk = np.swapaxes(h, -3, -2).reshape(
+        lead + (geom.n_subband, geom.subband_size, geom.n_rx, geom.n_tx))
+    gram = (hk.conj().swapaxes(-1, -2) @ hk).sum(axis=-3) / geom.subband_size
+    _, w = hermitian_top_eigpairs(gram.reshape(-1, geom.n_tx, geom.n_tx))
+    return w.reshape(lead + (geom.n_subband, geom.n_tx))

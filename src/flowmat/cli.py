@@ -58,12 +58,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evalharness import (eval_estimation, eval_feedback, make_dataset,
-                              uniform_budget_spec)
+    from .evalharness import (check_checkpoint_geometry, eval_estimation,
+                              eval_feedback, make_dataset, uniform_budget_spec)
     from .model import FlowMatModel
 
     cfg = _load_config(args.config)
     model = FlowMatModel.load(args.checkpoint)
+    check_checkpoint_geometry(model, cfg)
     geom, channels, eigens, n_train = make_dataset(cfg)
     if model.cfg.n_pilot_tokens > 0:
         mdl_db, ls_db = eval_estimation(model, channels[n_train:], geom,

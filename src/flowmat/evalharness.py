@@ -209,15 +209,37 @@ def _n_train(cfg: dict) -> int:
                cfg["n_samples"] - 1)
 
 
+def _token_shape(cfg: dict, estimation: bool) -> dict:
+    """The ``ModelConfig`` fields that the geometry fixes, for the
+    estimation network (one token per subcarrier, pilot denoiser) or the
+    feedback network (one token per subband)."""
+    if estimation:
+        return dict(n_tokens=cfg["n_sub"],
+                    token_dim=2 * cfg["n_tx"] * cfg["n_rx"],
+                    n_pilot_tokens=_geometry(cfg).pilot_pattern.n_pilots)
+    return dict(n_tokens=cfg["n_subband"], token_dim=2 * cfg["n_tx"],
+                n_pilot_tokens=0)
+
+
+def check_checkpoint_geometry(model: FlowMatModel, cfg: dict) -> None:
+    """ConfigError unless ``model`` was built for the geometry of ``cfg``."""
+    want = _token_shape(cfg, model.cfg.n_pilot_tokens > 0)
+    got = {key: getattr(model.cfg, key) for key in want}
+    if got != want:
+        raise ConfigError(f"the checkpoint was built for {got}, but the "
+                          f"config's geometry needs {want}")
+
+
 def make_dataset(cfg: dict):
-    """Synthesize channels and their eigen-precoder labels; 95/5 split by
-    sample index (first block trains, last block tests)."""
+    """Synthesize channels and their eigen-precoder labels, each a list of
+    per-sample arrays; 95/5 split by sample index (first block trains, last
+    block tests)."""
     if cfg["n_samples"] < 1:
         raise ConfigError(f"n_samples must be >= 1, not {cfg['n_samples']}")
     geom = _geometry(cfg)
     channels = generate_batch(geom, _profile(cfg), cfg["n_samples"])
-    eigens = [compute_precoders(h, geom) for h in channels]
-    return geom, channels, eigens, _n_train(cfg)
+    eigens = compute_precoders(channels, geom)
+    return geom, list(channels), list(eigens), _n_train(cfg)
 
 
 def _from_cfg(cls, cfg: dict, **fixed):
@@ -369,13 +391,10 @@ def run_experiment(cfg: dict, out_dir) -> list:
     tcfg = _from_cfg(TrainConfig, cfg)
     fb_cfg = est_cfg = None
     if task != "estimate":
-        fb_cfg = _from_cfg(ModelConfig, cfg, n_tokens=cfg["n_subband"],
-                           token_dim=2 * cfg["n_tx"])
+        fb_cfg = _from_cfg(ModelConfig, cfg, **_token_shape(cfg, False))
     if task != "feedback":
-        est_cfg = _from_cfg(ModelConfig, cfg, n_tokens=cfg["n_sub"],
-                            token_dim=2 * cfg["n_tx"] * cfg["n_rx"],
-                            keep_count=n_pilots, n_pilot_tokens=n_pilots,
-                            token_reduction="query")
+        est_cfg = _from_cfg(ModelConfig, cfg, **_token_shape(cfg, True),
+                            keep_count=n_pilots, token_reduction="query")
     budgets = _budget_list(cfg) if task == "feedback" else []
     snrs = _list(cfg, "eval_snrs_db", float) if task == "estimate" else []
     out = Path(out_dir)
@@ -466,7 +485,7 @@ def eval_joint(est_model, fb_model, channels, eigens, geom, cfg) -> float:
     obs = _observe_all(channels, geom, snr,
                        np.random.default_rng(cfg["seed"] + 2))
     h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
-    w_est = np.stack([compute_precoders(h, geom) for h in h_est])
+    w_est = compute_precoders(h_est, geom)
     return rho(np.stack(eigens), feedback_pipeline(w_est, fb_model)[1])
 
 

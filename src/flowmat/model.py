@@ -51,6 +51,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("need at least one attention head")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 1 <= self.keep_count <= self.n_tokens:
@@ -489,13 +491,18 @@ class FlowMatModel:
         off += blen
         cfg_kwargs, metadata = {}, {}
         field_types = typing.get_type_hints(ModelConfig)
-        for line in block.splitlines():
-            key, _, value = line.partition("=")
-            if key.startswith("meta."):
-                metadata[key[5:]] = parse_value(value, float)
-            else:
-                cfg_kwargs[key] = parse_value(value, field_types[key])
-        model = cls(ModelConfig(**cfg_kwargs))
+        try:
+            for line in block.splitlines():
+                key, _, value = line.partition("=")
+                if key.startswith("meta."):
+                    metadata[key[5:]] = parse_value(value, float)
+                elif key in field_types:
+                    cfg_kwargs[key] = parse_value(value, field_types[key])
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            model = cls(ModelConfig(**cfg_kwargs))
+        except (ValueError, TypeError) as exc:  # TypeError: a missing key
+            raise FormatError(f"bad checkpoint header: {exc}") from exc
         model.metadata = metadata
 
         (count,) = struct.unpack_from("<I", body, off)

@@ -297,7 +297,7 @@ def train_feedback(model: FlowMatModel, eigenmatrices, cfg: TrainConfig,
     """
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
-    tokens_all = np.stack([tokenize_eigen(w) for w in eigenmatrices])
+    tokens_all = tokenize_eigen(np.stack(eigenmatrices))
     vq = isinstance(quantizer, qz.VqCodebook)
     params = model.parameters() + ([quantizer.vectors] if vq else [])
 
@@ -324,7 +324,7 @@ def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
     one 1 - Rho objective against ``eigens``, the labels of ``channels``."""
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
-    targets = np.stack([tokenize_eigen(w) for w in eigens])
+    targets = tokenize_eigen(np.stack(eigens))
 
     def loss_fn(idx):
         noisy, _, _ = _estimation_batch(channels, geom, idx, cfg, rng)

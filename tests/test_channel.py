@@ -11,6 +11,7 @@ from flowmat.channel import (MultipathProfile, PilotObservation,
                              generate_batch, generate_channel,
                              interpolate_frequency, ls_estimate,
                              observe_pilots, resource_block_pattern)
+from flowmat.linalg import CONVERGENCE_TOL
 
 
 def make_geom(n_tx=4, n_rx=2, n_sub=16, n_subband=4, step=2):
@@ -77,10 +78,13 @@ class TestChannelGeneration:
 
     def test_batch_uses_derived_seeds(self):
         geom = make_geom()
-        batch = generate_batch(geom, MultipathProfile(seed=10), 3)
-        assert len(batch) == 3
-        expected = generate_channel(geom, MultipathProfile(seed=11))
-        np.testing.assert_array_equal(batch[1], expected)
+        for n_paths in (1, 3, 6):
+            batch = generate_batch(geom, MultipathProfile(n_paths, seed=10), 5)
+            assert batch.shape == (5, 2, 16, 4)
+            for i, h in enumerate(batch):
+                expected = generate_channel(
+                    geom, MultipathProfile(n_paths, seed=10 + i))
+                np.testing.assert_array_equal(h, expected)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +227,23 @@ class TestPrecoders:
         w = compute_precoders(h, geom)
         assert w.shape == (4, 4)
         np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-9)
+
+    def test_stacked_equals_per_channel_calls(self):
+        geom = make_geom(n_tx=8, n_rx=2, n_sub=32, n_subband=8)
+        hs = generate_batch(geom, MultipathProfile(seed=20), 6)
+        w = compute_precoders(hs.reshape((2, 3) + hs.shape[1:]), geom)
+        assert w.shape == (2, 3, 8, 8)
+        w = w.reshape(6, 8, 8)
+        size = geom.subband_size
+        for h, w_h in zip(hs, w):
+            np.testing.assert_allclose(w_h, compute_precoders(h, geom),
+                                       rtol=0, atol=1e-12)
+            for b in range(geom.n_subband):
+                gram = sum(h[:, k, :].conj().T @ h[:, k, :]
+                           for k in range(b * size, (b + 1) * size)) / size
+                lam = np.real(np.vdot(w_h[b], gram @ w_h[b]))
+                residual = np.linalg.norm(gram @ w_h[b] - lam * w_h[b])
+                assert residual <= CONVERGENCE_TOL * lam
 
     def test_matches_dense_eigendecomposition(self):
         geom = make_geom()

@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes and the seed override."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -124,7 +127,8 @@ class TestExitCodes:
         # one pilot cannot be linearly interpolated
         pytest.param("task = estimate\npilot_step = 32",
                      id="estimate with one pilot"),
-        pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads")])
+        pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads"),
+        "n_heads = 0"])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -153,7 +157,7 @@ class TestExitCodes:
         eval_joint = eh.eval_joint
 
         def failing_eval_joint(*args):
-            monkeypatch.setattr(channel, "hermitian_top_eigpair",
+            monkeypatch.setattr(channel, "hermitian_top_eigpairs",
                                 no_convergence)
             return eval_joint(*args)
 
@@ -190,6 +194,43 @@ class TestTrainEval:
         for budget in ("64", "0"):
             assert main(["eval", "--config", str(smoke_cfg), "--checkpoint",
                          str(ckpt), "--budget", budget]) == EXIT_DATA
+
+    @pytest.mark.parametrize("old,new", [
+        (b"d_model=8", b"d_model=x"),        # malformed value
+        (b"d_model=8", b"d_modex=8"),        # unknown key
+        (b"keep_count=4", b"keep_count=9"),  # values ModelConfig rejects
+        (b"n_heads=2", b"n_heads=0"),
+    ])
+    def test_eval_bad_checkpoint_header_exits_3(self, smoke_cfg, tmp_path,
+                                                 capsys, old, new):
+        ckpt = tmp_path / "model.fmw"
+        feedback_model(smoke_cfg).save(ckpt)
+        raw = ckpt.read_bytes()
+        body = raw[8:-4].replace(old, new, 1)
+        assert body != raw[8:-4]
+        ckpt.write_bytes(raw[:8] + body
+                         + struct.pack("<I", zlib.crc32(body)))
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "checkpoint header" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", ["n_subband = 2", "n_tx = 4"])
+    def test_eval_geometry_mismatch_exits_2(self, smoke_cfg, tmp_path,
+                                            monkeypatch, capsys, setting):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(smoke_cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        other = tmp_path / "other.cfg"
+        other.write_text(SMOKE + setting + "\n")
+
+        def no_synthesis(cfg):
+            raise AssertionError("data synthesized for a mismatched config")
+
+        monkeypatch.setattr(eh, "make_dataset", no_synthesis)
+        assert main(["eval", "--config", str(other), "--checkpoint",
+                     str(out_dir / "feedback.fmw")]) == EXIT_CONFIG
+        assert "geometry" in capsys.readouterr().err
 
     def test_analyze_corr(self, smoke_cfg, tmp_path):
         out = tmp_path / "corr.csv"

@@ -290,6 +290,9 @@ class TestDatasetAssembly:
                    n_rx=1)
         geom, channels, eigens, n_train = make_dataset(cfg)
         assert len(channels) == 40 and len(eigens) == 40
+        # lists of per-sample arrays: the benchmark tracer finds training
+        # data by its list type
+        assert isinstance(channels, list) and isinstance(eigens, list)
         assert n_train == 38
         assert eigens[0].shape == (4, 2)
 
