@@ -19,17 +19,10 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-_CHECK_FINITE = False
 _TAPE = True  # False inside no_tape()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def set_checked(enabled: bool) -> None:
-    """Toggle NaN/Inf rejection at Tensor construction."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 @contextmanager
@@ -61,8 +54,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        if _CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite values rejected in checked mode")
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -118,36 +109,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:

@@ -18,7 +18,6 @@ from .linalg import hermitian_top_eigpairs
 
 @dataclass
 class PilotPattern:
-    kind: str  # high_density | low_density | custom
     pilot_indices: np.ndarray
 
     def __post_init__(self):
@@ -38,14 +37,7 @@ class PilotPattern:
 def every_kth_pattern(n_sub: int, step: int, offset: int = 0) -> PilotPattern:
     if step < 1:
         raise ValueError(f"pilot step must be >= 1, not {step}")
-    return PilotPattern("custom", np.arange(offset, n_sub, step))
-
-
-def resource_block_pattern(pilot_rbs, rb_size: int = 8) -> PilotPattern:
-    """All subcarriers of the listed resource blocks carry pilots."""
-    idx = np.concatenate([np.arange(rb * rb_size, (rb + 1) * rb_size)
-                          for rb in sorted(pilot_rbs)])
-    return PilotPattern("low_density", idx)
+    return PilotPattern(np.arange(offset, n_sub, step))
 
 
 @dataclass
@@ -82,6 +74,8 @@ class MultipathProfile:
             raise ValueError("need at least one path")
         if self.delay_spread <= 0:
             raise ValueError("delay spread must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 def _steering(n: int, angles: np.ndarray) -> np.ndarray:
@@ -169,18 +163,10 @@ def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db: float,
     return PilotObservation(data=obs, pilot_indices=idx.copy())
 
 
-def ls_estimate(obs: PilotObservation, pilot_symbols=None) -> np.ndarray:
-    """Closed-form per-entry LS estimate y / s at the pilot subcarriers,
-    with one symbol per pilot (or one for all of them).
-
-    With the default unit pilots this is bit-identical to the observation.
-    """
-    if pilot_symbols is None:
-        return obs.data.copy()
-    s = np.asarray(pilot_symbols, dtype=np.complex128)
-    if np.any(np.abs(s) == 0):
-        raise ZeroDivisionError("zero pilot symbol")
-    return obs.data / s.reshape(-1, 1)
+def ls_estimate(obs: PilotObservation) -> np.ndarray:
+    """Per-entry LS estimate y / s at the pilot subcarriers: the pilot
+    symbols are unity, so it is a copy of the observation."""
+    return obs.data.copy()
 
 
 def interpolate_frequency(partial: np.ndarray, pilot_indices: np.ndarray,

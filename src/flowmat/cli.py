@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from .dataio import FormatError
-    from .evalharness import ConfigError, DataError
+    from .evalharness import ConfigError
     from .linalg import ConvergenceError
     from .training import DivergenceError
 
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:

@@ -32,10 +32,6 @@ class ConfigError(ValueError):
     """Raised for unknown keys or malformed values in a run configuration."""
 
 
-class DataError(ValueError):
-    """Raised when referenced datasets are missing or malformed."""
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -492,6 +488,8 @@ def eval_joint(est_model, fb_model, channels, eigens, geom, cfg) -> float:
 def analyze_corr(cfg: dict, out_path) -> np.ndarray:
     """Frequency-correlation matrix of one synthesized channel, as CSV."""
     geom = _geometry(cfg)
+    if geom.n_sub < 2:
+        raise ConfigError("analyze-corr needs at least 2 subcarriers")
     h = generate_batch(geom, _profile(cfg), 1)[0]
     corr = freq_correlation(h)
     lines = [",".join(repr(float(v)) for v in row) for row in corr]

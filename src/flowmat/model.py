@@ -299,14 +299,13 @@ class FlowMatModel:
 
     def encode(self, tokens: Tensor, kept=None) -> Tensor:
         """Input projection + position embedding, common blocks, then the
-        mask-attention block, then the output projection."""
+        mask-attention block (no mask bias when ``kept`` is None), then the
+        output projection."""
         cfg, p = self.cfg, self.params
         if tokens.data.shape[-1] != cfg.token_dim:
             raise ValueError("token width does not match the config")
         if tokens.data.shape[-2] != cfg.n_tokens:
             raise ValueError("token count does not match the config")
-        if kept is None:
-            kept = self.kept_indices()
         y = ad.add(ad.matmul(tokens, p["in_proj"]), p["pos"])
         for i in range(cfg.encoder_depth - 1):
             y = self._block(f"enc{i}", y)
@@ -363,27 +362,14 @@ class FlowMatModel:
 
     # -- graph-level pipelines ----------------------------------------------
 
-    def feedback_forward(self, tokens: Tensor, quantizer=None,
-                         bypass_mask: bool = False, aux: dict = None):
+    def feedback_forward(self, tokens: Tensor, quantizer=None, aux: dict = None):
         """Compression round trip on the graph.
 
-        Returns (reconstructed tokens, payload or None, kept indices).
-        ``bypass_mask`` runs the plain autoencoder path (no selection, no
-        mask-token insertion, no mask biases) for equivalence checks. An
+        Returns (reconstructed tokens, payload or None, kept indices). An
         ``aux`` dict, when given, collects the pre-quantization latent and
         VQ assignment indices for auxiliary losses.
         """
         cfg, p = self.cfg, self.params
-
-        if bypass_mask:
-            # Plain autoencoder: no selection, no insertion. The all-kept
-            # bias is retained so the path is bit-comparable to m = N.
-            all_kept = np.arange(cfg.n_tokens)
-            z = self.encode(tokens, kept=all_kept)
-            lat = ad.matmul(z, p["latent_down"])
-            up = ad.matmul(lat, p["latent_up"])
-            return self.decode(up, kept=all_kept), None, None
-
         kept = self.kept_indices()
         z = self.encode(tokens, kept=kept)
         if cfg.token_reduction == "query":
@@ -484,15 +470,24 @@ class FlowMatModel:
         if crc != zlib.crc32(body):
             raise FormatError("checkpoint CRC mismatch")
 
-        off = 0
-        (blen,) = struct.unpack_from("<I", body, off)
-        off += 4
-        block = body[off:off + blen].decode()
-        off += blen
+        off = 0  # read position in ``body``
+
+        def take(fmt):
+            """The values of ``fmt`` at ``off``, which moves past them."""
+            nonlocal off
+            try:
+                values = struct.unpack_from(fmt, body, off)
+            except struct.error as exc:
+                raise FormatError(f"truncated checkpoint: {exc}") from exc
+            off += struct.calcsize(fmt)
+            return values
+
+        (blen,) = take("<I")
+        (block,) = take(f"<{blen}s")
         cfg_kwargs, metadata = {}, {}
         field_types = typing.get_type_hints(ModelConfig)
         try:
-            for line in block.splitlines():
+            for line in block.decode().splitlines():
                 key, _, value = line.partition("=")
                 if key.startswith("meta."):
                     metadata[key[5:]] = parse_value(value, float)
@@ -505,25 +500,23 @@ class FlowMatModel:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         model.metadata = metadata
 
-        (count,) = struct.unpack_from("<I", body, off)
-        off += 4
+        (count,) = take("<I")
+        missing = set(model.params)
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = body[off:off + nlen].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", body, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", body, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            values = np.frombuffer(body, dtype="<f8", count=size, offset=off)
-            off += size * 8
+            (nlen,) = take("<H")
+            name = take(f"<{nlen}s")[0].decode()
+            (ndim,) = take("<B")
+            shape = take(f"<{ndim}I")
+            values = np.frombuffer(take(f"<{8 * math.prod(shape)}s")[0],
+                                   dtype="<f8")
             if name not in model.params:
                 raise FormatError(f"unknown parameter {name!r} in checkpoint")
             if model.params[name].data.shape != tuple(shape):
                 raise FormatError(f"shape mismatch for parameter {name!r}")
             model.params[name].data = values.reshape(shape).copy()
+            missing.discard(name)
+        if missing:
+            raise FormatError(f"checkpoint lacks parameters {sorted(missing)}")
         return model
 
 

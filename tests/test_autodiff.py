@@ -34,14 +34,6 @@ class TestElementwiseGrads:
     def test_gelu(self):
         check(lambda x: ad.tsum(ad.gelu(x)), RNG.standard_normal((3, 7)))
 
-    def test_operators_match_functions(self):
-        a = Tensor(RNG.standard_normal((2, 3)))
-        b = Tensor(RNG.standard_normal((2, 3)))
-        np.testing.assert_array_equal((a + b).data, ad.add(a, b).data)
-        np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
-        np.testing.assert_array_equal((a * b).data, ad.mul(a, b).data)
-        np.testing.assert_array_equal((-a).data, -a.data)
-
 
 class TestMatmulGrads:
     def test_plain(self):
@@ -178,6 +170,10 @@ class TestSelectionOps:
         np.testing.assert_array_equal(out.data[3], [3, 4, 5])
         for row in (0, 2, 4):
             np.testing.assert_array_equal(out.data[row], [-1, -1, -1])
+        # all rows kept: the fill is unused and the rows pass through
+        full = Tensor(RNG.standard_normal((2, 5, 3)))
+        out = ad.insert_rows(full, range(5), 5, fill)
+        np.testing.assert_array_equal(out.data, full.data)
 
     def test_insert_rows_gradients(self):
         fill = np.full(3, 0.5)
@@ -223,14 +219,6 @@ class TestBackwardMechanics:
         out = ad.tsum(ad.mul(x.detach(), x))
         out.backward()
         np.testing.assert_allclose(x.grad, [2.0])
-
-    def test_checked_mode_rejects_nonfinite(self):
-        ad.set_checked(True)
-        try:
-            with pytest.raises(ValueError):
-                Tensor(np.array([1.0, np.nan]))
-        finally:
-            ad.set_checked(False)
 
     def test_grad_check_rejects_bad_step(self):
         with pytest.raises(ValueError):

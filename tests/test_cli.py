@@ -128,7 +128,7 @@ class TestExitCodes:
         pytest.param("task = estimate\npilot_step = 32",
                      id="estimate with one pilot"),
         pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads"),
-        "n_heads = 0"])
+        "n_heads = 0", "seed = -1"])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -139,7 +139,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,setting", [
         ("gen-data", "n_subband = 5"), ("analyze-corr", "n_subband = 5"),
-        ("gen-data", "n_samples = 0")])
+        ("gen-data", "n_samples = 0"),
+        # one subcarrier has no pair to correlate
+        ("analyze-corr", "n_sub = 1\nn_subband = 1")])
     def test_bad_setting_rejected_by_data_commands(self, tmp_path, command,
                                                    setting):
         cfg = tmp_path / "run.cfg"
@@ -214,6 +216,32 @@ class TestTrainEval:
                      "--checkpoint", str(ckpt)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "checkpoint header" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("end", [0, -100])
+    def test_eval_truncated_checkpoint_exits_3(self, smoke_cfg, tmp_path,
+                                               capsys, end):
+        # the body cut at ``end`` under a valid CRC: 0 leaves the 12-byte
+        # file magic | version | CRC of nothing, -100 ends mid-parameter
+        ckpt = tmp_path / "model.fmw"
+        feedback_model(smoke_cfg).save(ckpt)
+        raw = ckpt.read_bytes()
+        body = raw[8:-4][:end]
+        ckpt.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "truncated checkpoint" in err and "Traceback" not in err
+
+    def test_eval_checkpoint_missing_parameter_exits_3(self, smoke_cfg,
+                                                       tmp_path, capsys):
+        model = feedback_model(smoke_cfg)
+        del model.params["dec0.ln1.b"]
+        ckpt = tmp_path / "model.fmw"
+        model.save(ckpt)
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "dec0.ln1.b" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("setting", ["n_subband = 2", "n_tx = 4"])
     def test_eval_geometry_mismatch_exits_2(self, smoke_cfg, tmp_path,
