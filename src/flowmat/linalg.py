@@ -46,6 +46,13 @@ def normalize_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / np.where(mag == 0.0, 1.0, mag))
 
 
+def start_vector(n: int) -> np.ndarray:
+    """The fixed unit-norm start vector of every power iteration."""
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v0 / np.linalg.norm(v0)
+
+
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum(x * y) of each row pair of two [M, n] stacks, as M dot products
     (the arithmetic of ``np.dot`` on one row)."""
@@ -81,13 +88,9 @@ def hermitian_top_eigpairs(a: np.ndarray, tol: float = CONVERGENCE_TOL,
                          "Hermitian within tolerance")
 
     m, n = a.shape[:2]
-    rng = np.random.default_rng(0)  # fixed start vector: fully deterministic
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-
     values = np.zeros(m)
     vectors = np.empty((m, n), dtype=np.complex128)
-    active, v = np.arange(m), np.tile(v0, (m, 1))
+    active, v = np.arange(m), np.tile(start_vector(n), (m, 1))
     for _ in range(max_iter):
         if not active.size:
             break

@@ -67,6 +67,8 @@ class ModelConfig:
             raise ValueError("merge reduction needs keep_count | n_tokens")
         if min(self.encoder_depth, self.decoder_depth) < 1:
             raise ValueError("need at least one encoder and decoder block")
+        if min(self.d_model, self.d_latent) < 1:
+            raise ValueError("d_model and d_latent must be positive")
 
 
 def parse_value(text: str, typ: type):
@@ -504,7 +506,8 @@ class FlowMatModel:
         missing = set(model.params)
         for _ in range(count):
             (nlen,) = take("<H")
-            name = take(f"<{nlen}s")[0].decode()
+            # a name that is not UTF-8 names no parameter either
+            name = take(f"<{nlen}s")[0].decode(errors="replace")
             (ndim,) = take("<B")
             shape = take(f"<{ndim}I")
             values = np.frombuffer(take(f"<{8 * math.prod(shape)}s")[0],
@@ -517,6 +520,13 @@ class FlowMatModel:
             missing.discard(name)
         if missing:
             raise FormatError(f"checkpoint lacks parameters {sorted(missing)}")
+        (n_kept,) = take("<I")
+        kept, expected = take(f"<{n_kept}I"), model.kept_indices()
+        if list(kept) != ([] if expected is None else list(expected)):
+            raise FormatError(f"checkpoint kept indices {list(kept)} differ "
+                              "from the model's")
+        if off != len(body):
+            raise FormatError(f"{len(body) - off} bytes after checkpoint body")
         return model
 
 

@@ -247,23 +247,20 @@ def serialize_payload(payload: BitPayload, spec=None, k: int = None) -> bytes:
 
 
 def parse_payload(raw: bytes):
-    """Inverse of serialize_payload; returns (payload, params dict)."""
-    (tag,) = struct.unpack_from("<B", raw, 0)
-    if tag not in _TAG_SCHEMES:
-        raise ValueError(f"unknown scheme tag {tag}")
-    scheme = _TAG_SCHEMES[tag]
-    off = 1
-    params = {}
-    if scheme == SCHEME_UNIFORM:
-        b, lo, hi = struct.unpack_from("<ddd", raw, off)
-        off += 24
-        params = {"bits": int(b), "lo": lo, "hi": hi}
-    else:
-        (k,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        params = {"k": k}
-    (bit_length,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    """Inverse of serialize_payload; returns (payload, params dict). A
+    message cut anywhere raises ValueError."""
+    if not raw:
+        raise ValueError("truncated payload header")
+    if raw[0] not in _TAG_SCHEMES:
+        raise ValueError(f"unknown scheme tag {raw[0]}")
+    scheme = _TAG_SCHEMES[raw[0]]
+    header = "<dddI" if scheme == SCHEME_UNIFORM else "<II"  # params | length
+    off = 1 + struct.calcsize(header)
+    if len(raw) < off:
+        raise ValueError("truncated payload header")
+    *fields, bit_length = struct.unpack_from(header, raw, 1)
+    params = ({"bits": int(fields[0]), "lo": fields[1], "hi": fields[2]}
+              if scheme == SCHEME_UNIFORM else {"k": fields[0]})
     nbytes = (bit_length + 7) // 8
     data = raw[off:off + nbytes]
     if len(data) != nbytes:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import linalg
 from . import quantizer as qz
 from .autodiff import Adam, Tensor
 from .channel import SystemGeometry, observe_pilots
@@ -140,33 +141,26 @@ def differentiable_precoders(tokens: Tensor, n_rx: int, n_tx: int,
     lead, n_sub = tokens.data.shape[:-2], tokens.data.shape[-2]
     if n_sub % n_subband != 0:
         raise ValueError("n_subband must divide the subcarrier count")
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
-    v0 /= np.linalg.norm(v0)
 
-    # x holds the re and the im row of every (subcarrier, antenna) of a
-    # subband; y holds im and -re at the same places, so that
-    # x^T x = sum re^T re + im^T im and x^T y = sum re^T im - im^T re.
+    # Real embedding of each subband's Gram matrix A = H^H H: the tokens as
+    # rows x hold re and im of every (subcarrier, antenna) row of H, z holds
+    # -im and re, and m = [x | z] gives m^T m = [[Re A, -Im A], [Im A, Re A]],
+    # which maps [re v; im v] to [re Av; im Av].
     rows = lead + (n_subband, 2 * (n_sub // n_subband) * n_rx, n_tx)
-    x = ad.reshape(tokens, rows)
-    y = ad.reshape(ad.concat([ad.narrow(tokens, -1, half, 2 * half),
-                              ad.mul(ad.narrow(tokens, -1, 0, half), -1.0)]),
-                   rows)
-    x_t = ad.transpose(x)
-    a_re, a_im = ad.matmul(x_t, x), ad.matmul(x_t, y)
+    z = ad.concat([ad.mul(ad.narrow(tokens, -1, half, 2 * half), -1.0),
+                   ad.narrow(tokens, -1, 0, half)])
+    m = ad.concat([ad.reshape(tokens, rows), ad.reshape(z, rows)])
+    a = ad.matmul(ad.transpose(m), m)
 
-    v_re = Tensor(v0.real.reshape(n_tx, 1))
-    v_im = Tensor(v0.imag.reshape(n_tx, 1))
+    v0 = linalg.start_vector(n_tx)
+    v = Tensor(np.concatenate([v0.real, v0.imag]).reshape(2 * n_tx, 1))
     for _ in range(iterations):
-        nv_re = ad.sub(ad.matmul(a_re, v_re), ad.matmul(a_im, v_im))
-        nv_im = ad.add(ad.matmul(a_re, v_im), ad.matmul(a_im, v_re))
-        norm = ad.sqrt(ad.add(
-            ad.tsum(ad.add(ad.square(nv_re), ad.square(nv_im)),
-                    axis=(-2, -1), keepdims=True),
-            Tensor(1e-30)))
-        v_re, v_im = ad.div(nv_re, norm), ad.div(nv_im, norm)
-    row = ad.concat([ad.transpose(v_re), ad.transpose(v_im)], axis=-1)
-    return ad.reshape(row, lead + (n_subband, 2 * n_tx))
+        av = ad.matmul(a, v)
+        norm = ad.sqrt(ad.add(ad.tsum(ad.square(av), axis=(-2, -1),
+                                      keepdims=True), Tensor(1e-30)))
+        v = ad.div(av, norm)
+    # v is the [re; im] column of each eigenvector, so its transpose is a token
+    return ad.reshape(ad.transpose(v), lead + (n_subband, 2 * n_tx))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestExitCodes:
         pytest.param("task = estimate\npilot_step = 32",
                      id="estimate with one pilot"),
         pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads"),
-        "n_heads = 0", "seed = -1"])
+        "n_heads = 0", "seed = -1", "d_model = 0", "d_latent = 0"])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -242,6 +242,29 @@ class TestTrainEval:
                      "--checkpoint", str(ckpt)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "dec0.ln1.b" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # the last byte of a parameter name set to 0xff
+        pytest.param(lambda body: body.replace(
+            struct.pack("<H", 10) + b"dec0.ln1.b",
+            struct.pack("<H", 10) + b"dec0.ln1.\xff", 1),
+            "unknown parameter", id="name not UTF-8"),
+        pytest.param(lambda body: body + b"garbage", "bytes after",
+                     id="trailing bytes"),
+        # the kept block (count 4, indices 0-3) rewritten to index 7 alone
+        pytest.param(lambda body: body[:-20] + struct.pack("<II", 1, 7),
+                     "kept indices", id="kept block")])
+    def test_eval_corrupt_checkpoint_exits_3(self, smoke_cfg, tmp_path,
+                                             capsys, corrupt, message):
+        ckpt = tmp_path / "model.fmw"
+        feedback_model(smoke_cfg).save(ckpt)
+        raw = ckpt.read_bytes()
+        body = corrupt(raw[8:-4])
+        ckpt.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("setting", ["n_subband = 2", "n_tx = 4"])
     def test_eval_geometry_mismatch_exits_2(self, smoke_cfg, tmp_path,

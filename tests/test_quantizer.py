@@ -251,6 +251,9 @@ class TestWireFormat:
         assert back.bit_length == payload.bit_length
         assert back.data == payload.data
         assert params == {"bits": 5, "lo": -1.5, "hi": 2.5}
+        for cut in range(len(raw)):  # in the tag, the header or the bits
+            with pytest.raises(ValueError, match="truncated"):
+                parse_payload(raw[:cut])
 
     def test_vq_round_trip(self):
         cb = make_codebook(32, 3, seed=6)
@@ -261,6 +264,9 @@ class TestWireFormat:
         assert back.scheme == "vq"
         assert back.data == payload.data
         assert params == {"k": 32}
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError, match="truncated"):
+                parse_payload(raw[:cut])
 
     def test_missing_params_rejected(self):
         _, payload = uniform_quantize(

@@ -4,6 +4,7 @@ regimes (freeze contract, determinism, divergence guard)."""
 import numpy as np
 import pytest
 
+import flowmat.autodiff as ad
 import flowmat.training as tr
 from flowmat.autodiff import Tensor
 from flowmat.channel import (MultipathProfile, SystemGeometry,
@@ -128,7 +129,8 @@ class TestDifferentiableEigen:
 
     def test_matches_complex_loop_reference(self):
         # three iterations have not converged, so this pins the arithmetic:
-        # only the summation order of the Gram matrices may differ
+        # the real embedding may only sum the Gram matrices and each product
+        # A v in another order than this complex loop
         geom = two_rx_geom()
         h = generate_batch(geom, MultipathProfile(seed=8), 1)[0]
         rng = np.random.default_rng(0)
@@ -160,14 +162,22 @@ class TestDifferentiableEigen:
             np.testing.assert_allclose(got[b], ref, rtol=0.0, atol=1e-12)
 
     def test_gradients_flow_to_channel(self):
-        geom = small_geom()
+        # 2 tx, 2 rx, 4 subcarriers in 2 subbands, under a fixed random
+        # weighting of the output so every entry's gradient counts
+        geom = SystemGeometry(n_tx=2, n_rx=2, n_sub=4, n_subband=2,
+                              pilot_pattern=every_kth_pattern(4, 2))
         h = generate_batch(geom, MultipathProfile(seed=10), 1)[0]
-        x = Tensor(tokenize_channel(h), requires_grad=True)
-        out = differentiable_precoders(x, geom.n_rx, geom.n_tx,
-                                       geom.n_subband, iterations=5)
-        import flowmat.autodiff as ad
-        ad.tsum(ad.square(out)).backward()
-        assert x.grad is not None and np.any(x.grad != 0.0)
+        weights = Tensor(np.random.default_rng(3).standard_normal(
+            (geom.n_subband, 2 * geom.n_tx)))
+
+        def weighted(x):
+            out = differentiable_precoders(x, geom.n_rx, geom.n_tx,
+                                           geom.n_subband, iterations=5)
+            return ad.tsum(ad.mul(out, weights))
+
+        x = Tensor(tokenize_channel(h))
+        assert ad.finite_diff_grad_check(weighted, x) < 1e-6
+        assert np.any(x.grad != 0.0)
 
 
 def scripted_fit(report, losses, **cfg):
