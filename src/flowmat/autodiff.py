@@ -115,56 +115,40 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
+def _binary(out_data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Node of a broadcasting two-operand op: ``grad_a(g)`` and ``grad_b(g)``
+    give each operand's full-size gradient, summed back to its shape; each
+    runs only when its operand needs a gradient."""
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(grad_a(g), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(grad_b(g), b.data.shape))
 
     return Tensor._result(out_data, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
+    return _binary(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
+    return _binary(a.data * b.data, a, b, lambda g: g * b.data,
+                   lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
+    return _binary(a.data / b.data, a, b, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a, b) -> Tensor:
@@ -176,17 +160,9 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
+    return _binary(np.matmul(a.data, b.data), a, b,
+                   lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                   lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
 
 
 def transpose(a: Tensor, axes=(-1, -2)) -> Tensor:

@@ -56,6 +56,8 @@ class SystemGeometry:
             raise ValueError("n_subband must divide n_sub")
         if self.pilot_pattern.pilot_indices[-1] >= self.n_sub:
             raise ValueError("pilot index beyond subcarrier count")
+        if not 0.0 < self.subcarrier_spacing < math.inf:
+            raise ValueError("subcarrier spacing must be positive and finite")
 
     @property
     def subband_size(self) -> int:
@@ -72,8 +74,10 @@ class MultipathProfile:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.delay_spread <= 0:
-            raise ValueError("delay spread must be positive")
+        if not 0.0 < self.delay_spread < math.inf:
+            raise ValueError("delay spread must be positive and finite")
+        if not 0.0 <= self.angle_spread < math.inf:
+            raise ValueError("angle spread must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
 

@@ -24,7 +24,30 @@ _MAX_ELEMENTS = 1 << 32  # per-sample element guard against corrupt dims
 
 
 class FormatError(ValueError):
-    """Raised when a container fails header or checksum validation."""
+    """Raised when a container, checkpoint or payload fails validation."""
+
+
+class Reader:
+    """Bounds-checked cursor over the bytes of a container, checkpoint or
+    payload (``what``); short reads and leftover bytes raise FormatError."""
+
+    def __init__(self, raw: bytes, what: str):
+        self.raw, self.what, self.off = raw, what, 0
+
+    def take(self, fmt: str) -> tuple:
+        """The values of struct ``fmt`` at the cursor; moves past them."""
+        try:
+            values = struct.unpack_from(fmt, self.raw, self.off)
+        except struct.error as exc:
+            raise FormatError(f"truncated {self.what}: {exc}") from exc
+        self.off += struct.calcsize(fmt)
+        return values
+
+    def end(self) -> None:
+        """FormatError unless every byte has been read."""
+        left = len(self.raw) - self.off
+        if left:
+            raise FormatError(f"{left} bytes after the {self.what}")
 
 
 def write_records(path, kind: int, samples) -> None:
@@ -55,32 +78,23 @@ def write_records(path, kind: int, samples) -> None:
 def read_records(path):
     """Read a container back; returns (kind, list of complex64 arrays)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 14 or raw[:4] != MAGIC:
+        reader = Reader(fh.read(), "container")
+    take = reader.take
+    if take("<4s")[0] != MAGIC:
         raise FormatError("bad magic")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (version,) = take("<I")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    kind, ndim = struct.unpack_from("<BB", raw, off)
-    off += 2
+    kind, ndim = take("<BB")
     if kind not in (KIND_CHANNEL, KIND_EIGEN, KIND_PILOT):
         raise FormatError(f"unknown record kind {kind}")
-    if len(raw) < off + 4 * ndim + 8:
-        raise FormatError("truncated header")
-    dims = struct.unpack_from(f"<{ndim}I", raw, off)
-    off += 4 * ndim
-    (count,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    dims = take(f"<{ndim}I")
+    (count,) = take("<Q")
     per_sample = int(np.prod(dims, dtype=np.uint64)) if ndim else 1
     if per_sample <= 0 or per_sample > _MAX_ELEMENTS:
         raise FormatError("dimension overflow")
-    payload_len = count * per_sample * 8  # 2 float32 per element
-    if len(raw) != off + payload_len + 4:
-        raise FormatError("truncated payload")
-    payload = raw[off:off + payload_len]
-    (crc,) = struct.unpack_from("<I", raw, off + payload_len)
+    payload, crc = take(f"<{count * per_sample * 8}sI")  # 2 f4 per element
+    reader.end()
     if crc != zlib.crc32(payload):
         raise FormatError("payload CRC mismatch")
 

@@ -127,7 +127,7 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
 
 # The keys spelled out here have no dataclass default. Every other key is a
 # field of the run's dataclasses and takes that field's default, except
-# ``n_pilot_tokens``, which the task fixes, and ``divergence_patience``.
+# ``n_pilot_tokens``, which the task fixes.
 DEFAULTS = {
     # task / orchestration
     "task": "feedback",            # feedback | estimate | joint
@@ -151,7 +151,7 @@ DEFAULTS = {
     **{f.name: f.default
        for cls in (SystemGeometry, MultipathProfile, ModelConfig, TrainConfig)
        for f in fields(cls) if f.default is not MISSING
-       and f.name not in ("n_pilot_tokens", "divergence_patience")},
+       and f.name != "n_pilot_tokens"},
 }
 
 # the regimes each task trains with; feedback has one and ignores ``regime``
@@ -201,6 +201,9 @@ def _profile(cfg: dict) -> MultipathProfile:
 def _n_train(cfg: dict) -> int:
     """Training samples of the split: the first ``train_fraction`` of them,
     leaving at least one test sample."""
+    if not math.isfinite(cfg["train_fraction"]):
+        raise ConfigError(f"train_fraction must be finite, not "
+                          f"{cfg['train_fraction']}")
     return min(int(cfg["train_fraction"] * cfg["n_samples"]),
                cfg["n_samples"] - 1)
 
@@ -503,13 +506,18 @@ def _budget_list(cfg: dict):
     one subband at each."""
     budgets = _list(cfg, "budgets", int)
     m, d_q = cfg["keep_count"], cfg["d_latent"]
+    try:  # a codebook size that is not a power of two has no VQ budget
+        vq_bits = (payload_bits("vq", m, d_q, k=cfg["vq_codebook_size"])
+                   if cfg["quantizer"] == "vq" else None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for budget in budgets:
         if cfg["quantizer"] == "uniform":
             per_scalar = _uniform_bits(budget, m, d_q)
             if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
                 raise ConfigError(
                     f"budget {budget} not reachable with m={m}, d_latent={d_q}")
-        elif payload_bits("vq", m, d_q, k=cfg["vq_codebook_size"]) != budget:
+        elif vq_bits != budget:
             raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
         try:
             baseline_truncation(np.ones((1, cfg["n_tx"])), budget)

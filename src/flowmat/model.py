@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import quantizer as qz
 from .autodiff import Tensor
+from .dataio import FormatError, Reader
 
 HARD_BIAS = -1e9
 
@@ -74,12 +75,15 @@ class ModelConfig:
 def parse_value(text: str, typ: type):
     """The ``key=value`` text form of a setting, as a bool, int, float or
     str ``typ``: run-config lines and ``.fmw`` header lines alike.
-    Raises ValueError for text that is not a ``typ``."""
+    Raises ValueError for text that is not a ``typ``, NaN included."""
     if typ is bool:
         if text not in ("true", "false", "True", "False"):
             raise ValueError(f"not a boolean: {text!r}")
         return text in ("true", "True")
-    return typ(text)
+    value = typ(text)
+    if typ is float and math.isnan(value):
+        raise ValueError(f"not a number: {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +157,17 @@ def _linear_init(rng, fan_in, fan_out, scale=0.02):
     return rng.standard_normal((fan_in, fan_out)) * scale
 
 
+def _init_sublayer(rng, param, pre, norm, mlp, width, d, e):
+    """One pre-norm MLP sublayer: layer norm ``pre.norm`` over ``width``
+    features, then the ``pre.mlp`` stack d -> e*d -> d."""
+    param(f"{pre}.{norm}.g", np.ones(width))
+    param(f"{pre}.{norm}.b", np.zeros(width))
+    param(f"{pre}.{mlp}.w1", _linear_init(rng, d, e * d))
+    param(f"{pre}.{mlp}.b1", np.zeros(e * d))
+    param(f"{pre}.{mlp}.w2", _linear_init(rng, e * d, d))
+    param(f"{pre}.{mlp}.b2", np.zeros(d))
+
+
 class FlowMatModel:
     """Holds every learnable parameter and the forward passes."""
 
@@ -197,18 +212,8 @@ class FlowMatModel:
             np_, ed = cfg.n_pilot_tokens, cfg.denoiser_expansion
             for i in range(cfg.denoiser_blocks):
                 pre = f"mix{i}"
-                param(f"{pre}.ln1.g", np.ones(dt))
-                param(f"{pre}.ln1.b", np.zeros(dt))
-                param(f"{pre}.tok.w1", _linear_init(rng, np_, ed * np_))
-                param(f"{pre}.tok.b1", np.zeros(ed * np_))
-                param(f"{pre}.tok.w2", _linear_init(rng, ed * np_, np_))
-                param(f"{pre}.tok.b2", np.zeros(np_))
-                param(f"{pre}.ln2.g", np.ones(dt))
-                param(f"{pre}.ln2.b", np.zeros(dt))
-                param(f"{pre}.ch.w1", _linear_init(rng, dt, ed * dt))
-                param(f"{pre}.ch.b1", np.zeros(ed * dt))
-                param(f"{pre}.ch.w2", _linear_init(rng, ed * dt, dt))
-                param(f"{pre}.ch.b2", np.zeros(dt))
+                _init_sublayer(rng, param, pre, "ln1", "tok", dt, np_, ed)
+                _init_sublayer(rng, param, pre, "ln2", "ch", dt, dt, ed)
             # zero init: the denoiser is the identity before training
             param("mix_out", np.zeros((dt, dt)))
 
@@ -221,12 +226,7 @@ class FlowMatModel:
         param(f"{pre}.wq", _linear_init(rng, d, d))
         param(f"{pre}.wk", _linear_init(rng, d, d))
         param(f"{pre}.wv", _linear_init(rng, d, d))
-        param(f"{pre}.ln2.g", np.ones(d))
-        param(f"{pre}.ln2.b", np.zeros(d))
-        param(f"{pre}.mlp.w1", _linear_init(rng, d, e * d))
-        param(f"{pre}.mlp.b1", np.zeros(e * d))
-        param(f"{pre}.mlp.w2", _linear_init(rng, e * d, d))
-        param(f"{pre}.mlp.b2", np.zeros(d))
+        _init_sublayer(rng, param, pre, "ln2", "mlp", d, d, e)
 
     # -- parameter access -------------------------------------------------
 
@@ -286,16 +286,21 @@ class FlowMatModel:
         out = ad.transpose(ad.matmul(att, v), axes=(-3, -2))
         return ad.reshape(out, x.data.shape)
 
-    def _block(self, prefix: str, x: Tensor, bias=None) -> Tensor:
+    def _norm(self, name: str, x: Tensor) -> Tensor:
         p = self.params
-        h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+        return ad.layer_norm(x, p[f"{name}.g"], p[f"{name}.b"])
+
+    def _mlp(self, name: str, h: Tensor) -> Tensor:
+        """Linear, GELU, linear over the last axis of ``h``."""
+        p = self.params
+        h = ad.gelu(ad.add(ad.matmul(h, p[f"{name}.w1"]), p[f"{name}.b1"]))
+        return ad.add(ad.matmul(h, p[f"{name}.w2"]), p[f"{name}.b2"])
+
+    def _block(self, prefix: str, x: Tensor, bias=None) -> Tensor:
+        h = self._norm(f"{prefix}.ln1", x)
         x = ad.add(x, self._attention(prefix, h, bias))
-        h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-        h = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, p[f"{prefix}.mlp.w1"]),
-                                            p[f"{prefix}.mlp.b1"])),
-                             p[f"{prefix}.mlp.w2"]),
-                   p[f"{prefix}.mlp.b2"])
-        return ad.add(x, h)
+        h = self._norm(f"{prefix}.ln2", x)
+        return ad.add(x, self._mlp(f"{prefix}.mlp", h))
 
     # -- encoder / decoder -------------------------------------------------
 
@@ -347,19 +352,10 @@ class FlowMatModel:
         x = x0
         for i in range(cfg.denoiser_blocks):
             pre = f"mix{i}"
-            h = ad.layer_norm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-            h = ad.transpose(h)
-            h = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.tok.w1"]),
-                                                p[f"{pre}.tok.b1"])),
-                                 p[f"{pre}.tok.w2"]),
-                       p[f"{pre}.tok.b2"])
-            x = ad.add(x, ad.transpose(h))
-            h = ad.layer_norm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-            h = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ch.w1"]),
-                                                p[f"{pre}.ch.b1"])),
-                                 p[f"{pre}.ch.w2"]),
-                       p[f"{pre}.ch.b2"])
-            x = ad.add(x, h)
+            h = ad.transpose(self._norm(f"{pre}.ln1", x))  # mix over tokens
+            x = ad.add(x, ad.transpose(self._mlp(f"{pre}.tok", h)))
+            h = self._norm(f"{pre}.ln2", x)
+            x = ad.add(x, self._mlp(f"{pre}.ch", h))
         return ad.add(x0, ad.matmul(x, p["mix_out"]))
 
     # -- graph-level pipelines ----------------------------------------------
@@ -458,32 +454,17 @@ class FlowMatModel:
 
     @classmethod
     def load(cls, path) -> "FlowMatModel":
-        from .dataio import FormatError
-
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
+            raw = memoryview(fh.read())
+        reader = Reader(raw[:-4], "checkpoint")  # raw[-4:]: CRC32 of raw[8:-4]
+        take = reader.take
+        if len(raw) < 12 or take("<4s")[0] != CHECKPOINT_MAGIC:
             raise FormatError("bad checkpoint magic")
-        (version,) = struct.unpack_from("<I", raw, 4)
+        (version,) = take("<I")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        body = raw[8:-4]
-        (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-        if crc != zlib.crc32(body):
+        if zlib.crc32(raw[8:-4]) != int.from_bytes(raw[-4:], "little"):
             raise FormatError("checkpoint CRC mismatch")
-
-        off = 0  # read position in ``body``
-
-        def take(fmt):
-            """The values of ``fmt`` at ``off``, which moves past them."""
-            nonlocal off
-            try:
-                values = struct.unpack_from(fmt, body, off)
-            except struct.error as exc:
-                raise FormatError(f"truncated checkpoint: {exc}") from exc
-            off += struct.calcsize(fmt)
-            return values
-
         (blen,) = take("<I")
         (block,) = take(f"<{blen}s")
         cfg_kwargs, metadata = {}, {}
@@ -525,8 +506,7 @@ class FlowMatModel:
         if list(kept) != ([] if expected is None else list(expected)):
             raise FormatError(f"checkpoint kept indices {list(kept)} differ "
                               "from the model's")
-        if off != len(body):
-            raise FormatError(f"{len(body) - off} bytes after checkpoint body")
+        reader.end()
         return model
 
 

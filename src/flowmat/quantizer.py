@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dataio import Reader
 
 SCHEME_UNIFORM = "uniform"
 SCHEME_VQ = "vq"
@@ -248,21 +249,16 @@ def serialize_payload(payload: BitPayload, spec=None, k: int = None) -> bytes:
 
 def parse_payload(raw: bytes):
     """Inverse of serialize_payload; returns (payload, params dict). A
-    message cut anywhere raises ValueError."""
-    if not raw:
-        raise ValueError("truncated payload header")
-    if raw[0] not in _TAG_SCHEMES:
-        raise ValueError(f"unknown scheme tag {raw[0]}")
-    scheme = _TAG_SCHEMES[raw[0]]
-    header = "<dddI" if scheme == SCHEME_UNIFORM else "<II"  # params | length
-    off = 1 + struct.calcsize(header)
-    if len(raw) < off:
-        raise ValueError("truncated payload header")
-    *fields, bit_length = struct.unpack_from(header, raw, 1)
+    message cut anywhere or longer than its bits raises ValueError."""
+    reader = Reader(raw, "payload")
+    (tag,) = reader.take("<B")
+    if tag not in _TAG_SCHEMES:
+        raise ValueError(f"unknown scheme tag {tag}")
+    scheme = _TAG_SCHEMES[tag]
+    *fields, bit_length = reader.take(  # params | length
+        "<dddI" if scheme == SCHEME_UNIFORM else "<II")
     params = ({"bits": int(fields[0]), "lo": fields[1], "hi": fields[2]}
               if scheme == SCHEME_UNIFORM else {"k": fields[0]})
-    nbytes = (bit_length + 7) // 8
-    data = raw[off:off + nbytes]
-    if len(data) != nbytes:
-        raise ValueError("truncated payload bits")
+    (data,) = reader.take(f"<{(bit_length + 7) // 8}s")
+    reader.end()
     return BitPayload(bit_length=bit_length, data=data, scheme=scheme), params

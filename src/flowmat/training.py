@@ -28,6 +28,12 @@ class DivergenceError(RuntimeError):
 
 
 DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 100  # consecutive steps above the factor that abort
+
+# Name prefixes of the parameters ``estimate_forward`` reaches: the Mixer
+# denoiser, and the decoder that completes the grid from its output.
+DENOISER = ("mix",)
+DECODER = ("in_proj", "mask_token", "pos", "dec", "out_proj")
 
 
 @dataclass
@@ -40,7 +46,6 @@ class TrainConfig:
     snr_db_min: float = 10.0
     snr_db_max: float = 10.0
     loss_mode: str = "canonical"  # canonical | paper_literal
-    divergence_patience: int = 100
     eig_iterations: int = 30      # unrolled power-iteration depth (end_to_end)
 
     def __post_init__(self):
@@ -51,6 +56,12 @@ class TrainConfig:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if self.lr_schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, not {self.lr}")
+        snrs = (self.snr_db_min, self.snr_db_max)
+        if snrs != (math.inf, math.inf) and not all(map(math.isfinite, snrs)):
+            raise ValueError("the training SNR range must be finite, or "
+                             "inf to inf for noiseless pilots")
 
 
 @dataclass
@@ -226,7 +237,7 @@ def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
             initial = max(abs(val), 1e-12)
         elif val > DIVERGENCE_FACTOR * initial:
             streak += 1
-            if streak >= cfg.divergence_patience:
+            if streak >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
                     f"loss {val:.3g} above {DIVERGENCE_FACTOR}x initial for "
                     f"{streak} consecutive steps")
@@ -253,15 +264,14 @@ def train_progressive(model: FlowMatModel, channels, geom: SystemGeometry,
                                         geom.pilot_pattern.pilot_indices)
         return loss_ce(rec, full, cfg.loss_mode)
 
-    _fit(report, model.parameters(["mix"]), cfg, len(channels), rng,
+    _fit(report, model.parameters(DENOISER), cfg, len(channels), rng,
          pilot_loss)
-    model.set_trainable(["mix"], False)
+    model.set_trainable(DENOISER, False)
     try:
-        decoder_side = ["in_proj", "mask_token", "pos", "dec", "out_proj"]
-        _fit(report, model.parameters(decoder_side), cfg, len(channels), rng,
+        _fit(report, model.parameters(DECODER), cfg, len(channels), rng,
              grid_loss, phase=2)
     finally:
-        model.set_trainable(["mix"], True)
+        model.set_trainable(DENOISER, True)
     return report
 
 
@@ -278,7 +288,8 @@ def train_joint_estimation(model: FlowMatModel, channels,
         return ad.add(loss_ce(den, clean, cfg.loss_mode),
                       loss_ce(rec, full, cfg.loss_mode))
 
-    _fit(report, model.parameters(), cfg, len(channels), rng, loss_fn)
+    _fit(report, model.parameters(DENOISER + DECODER), cfg, len(channels),
+         rng, loss_fn)
     return report
 
 
@@ -330,8 +341,8 @@ def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
         fb_rec, _, _ = fb_model.feedback_forward(eig_tokens)
         return loss_cf(fb_rec, targets[idx])
 
-    _fit(report, est_model.parameters() + fb_model.parameters(), cfg,
-         len(channels), rng, loss_fn)
+    _fit(report, est_model.parameters(DENOISER + DECODER)
+         + fb_model.parameters(), cfg, len(channels), rng, loss_fn)
     return report
 
 

@@ -27,6 +27,20 @@ class TestElementwiseGrads:
     def test_scalar_broadcast(self):
         check(lambda x: ad.tsum(ad.mul(x, 3.0)), RNG.standard_normal((2, 5)))
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 4), (3, 4)),
+        ((2, 3, 4), (4,)),   # b's gradient sums away the leading axes
+        ((3, 1), (3, 4)),    # a's gradient sums its size-1 axis
+    ], ids=["same-shape", "leading-axes", "size-1-axis"])
+    def test_each_operand(self, op, a_shape, b_shape):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(a_shape)
+        b = rng.uniform(0.5, 1.5, b_shape)  # away from zero for div
+        fn = getattr(ad, op)
+        check(lambda x: ad.tsum(ad.square(fn(x, Tensor(b)))), a)
+        check(lambda y: ad.tsum(ad.square(fn(Tensor(a), y))), b)
+
     def test_sqrt_square(self):
         check(lambda x: ad.tsum(ad.sqrt(ad.add(ad.square(x), Tensor(0.5)))),
               RNG.standard_normal((4, 4)))

@@ -128,7 +128,20 @@ class TestExitCodes:
         pytest.param("task = estimate\npilot_step = 32",
                      id="estimate with one pilot"),
         pytest.param("d_model = 10\nn_heads = 4", id="d_model % n_heads"),
-        "n_heads = 0", "seed = -1", "d_model = 0", "d_latent = 0"])
+        "n_heads = 0", "seed = -1", "d_model = 0", "d_latent = 0",
+        # NaN and infinite numbers, and a step size that is not positive
+        "train_fraction = nan", "train_fraction = inf",
+        "delay_spread = nan", "delay_spread = inf",
+        "angle_spread = nan", "angle_spread = inf", "angle_spread = -1.0",
+        "subcarrier_spacing = nan", "subcarrier_spacing = inf",
+        pytest.param("task = estimate\nsnr_db_max = nan",
+                     id="estimate with snr_db_max = nan"),
+        pytest.param("task = estimate\nsnr_db_min = -inf\nsnr_db_max = -inf",
+                     id="estimate with snr_db = -inf"),
+        "lr = nan", "lr = inf", "lr = -1",
+        # a VQ payload needs a power-of-two codebook
+        pytest.param("quantizer = vq\nvq_codebook_size = 3",
+                     id="vq_codebook_size = 3")])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")

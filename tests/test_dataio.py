@@ -106,6 +106,11 @@ class TestCorruptionRejection:
         with pytest.raises(FormatError):
             read_records(container)
 
+    def test_trailing_bytes(self, container):
+        container.write_bytes(container.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 bytes after"):
+            read_records(container)
+
     def test_truncated_header(self, container):
         container.write_bytes(container.read_bytes()[:11])
         with pytest.raises(FormatError):

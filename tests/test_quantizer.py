@@ -278,6 +278,15 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             parse_payload(b"\x07" + b"\x00" * 32)
 
+    def test_trailing_bytes_rejected(self):
+        spec = UniformQuantizerSpec(bits=8, lo=0.0, hi=1.0)
+        _, payload = uniform_quantize(np.zeros(16), spec)
+        with pytest.raises(ValueError, match="4 bytes after"):
+            parse_payload(serialize_payload(payload, spec=spec) + b"junk")
+        _, payload = vq_assign(np.zeros((2, 3)), make_codebook(4, 3, seed=0))
+        with pytest.raises(ValueError, match="1 bytes after"):
+            parse_payload(serialize_payload(payload, k=4) + b"\x00")
+
     def test_truncated_bits_rejected(self):
         spec = UniformQuantizerSpec(bits=8, lo=0.0, hi=1.0)
         _, payload = uniform_quantize(np.zeros(16), spec)

@@ -194,16 +194,16 @@ class TestGuardAndConfig:
             scripted_fit(report, [float("nan"), 1.0])
         assert report.losses == []
 
-    def test_divergence_needs_consecutive_streak(self):
+    def test_divergence_needs_consecutive_streak(self, monkeypatch):
         # the streak of 100x losses is broken by the fourth loss
+        monkeypatch.setattr(tr, "DIVERGENCE_PATIENCE", 3)
         losses = [1.0, 100.0, 100.0, 1.0, 100.0, 100.0]
         report = TrainReport()
-        scripted_fit(report, losses, divergence_patience=3)
+        scripted_fit(report, losses)
         assert report.losses == losses
         report = TrainReport()
         with pytest.raises(DivergenceError):
-            scripted_fit(report, losses + [100.0, 1.0],
-                         divergence_patience=3)
+            scripted_fit(report, losses + [100.0, 1.0])
         assert report.losses == losses
 
     def test_config_validation(self):
@@ -261,7 +261,7 @@ class TestFeedbackTraining:
                        TrainConfig(steps=20, batch_size=4), quantizer=cb)
         assert not np.array_equal(cb.vectors.data, before)
 
-    def test_divergent_lr_raises(self):
+    def test_divergent_lr_raises(self, monkeypatch):
         # the similarity loss is bounded, so divergence is exercised on the
         # unbounded reconstruction loss of the estimation task
         geom = SystemGeometry(n_tx=2, n_rx=1, n_sub=8, n_subband=2,
@@ -271,11 +271,11 @@ class TestFeedbackTraining:
             decoder_depth=1, d_latent=2, keep_count=4, n_pilot_tokens=4,
             seed=0))
         channels = generate_batch(geom, MultipathProfile(seed=13), 4)
+        monkeypatch.setattr(tr, "DIVERGENCE_PATIENCE", 5)
         with pytest.raises(DivergenceError):
             train_joint_estimation(model, channels, geom,
                                    TrainConfig(steps=400, batch_size=2,
-                                               lr=1e5,
-                                               divergence_patience=5))
+                                               lr=1e5))
 
 
 class TestEstimationTraining:
@@ -324,7 +324,6 @@ class TestEstimationTraining:
         model.set_trainable(["mix"], False)
         mix = model.params["mix0.ch.w1"].data.copy()
         cfg = TrainConfig(steps=5, batch_size=2)
-        tr.train_joint_estimation  # (joint path trains everything instead)
         # drive phase-2-style training manually through the public loop
         from flowmat.autodiff import Adam
         params = model.parameters(["in_proj", "dec", "out_proj"])
@@ -340,6 +339,22 @@ class TestEstimationTraining:
         assert model.params["mix0.ch.w1"].grad is None
         np.testing.assert_array_equal(model.params["mix0.ch.w1"].data, mix)
         model.set_trainable(["mix"], True)
+
+    def test_prefixes_name_every_reached_parameter(self):
+        # the estimation regimes hand Adam only these prefixes
+        geom = small_geom()
+        model = self.est_model()
+        noisy, clean, full = tr._estimation_batch(
+            self.channels(geom), geom, [0, 1], TrainConfig(),
+            np.random.default_rng(0))
+        den, rec = model.estimate_forward(Tensor(noisy),
+                                          geom.pilot_pattern.pilot_indices)
+        ad.add(tr.loss_ce(den, clean), tr.loss_ce(rec, full)).backward()
+        reached = {name for name, t in model.params.items()
+                   if t.grad is not None}
+        assert reached == {name for name, t in model.params.items()
+                           if t.requires_grad
+                           and name.startswith(tr.DENOISER + tr.DECODER)}
 
     def test_joint_regime_runs(self):
         geom = small_geom()
