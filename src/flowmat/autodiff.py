@@ -47,6 +47,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    """Index of ``start:stop`` along one axis of an ndim-axis array."""
+    idx = [slice(None)] * ndim
+    idx[axis] = slice(start, stop)
+    return tuple(idx)
+
+
+def _scatter_rows(like: np.ndarray, rows, g: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` with each row (second-to-last axis) of
+    ``g`` added at its position in ``rows``; repeated positions sum."""
+    full = np.zeros_like(like)
+    np.add.at(np.moveaxis(full, -2, 0), rows, np.moveaxis(g, -2, 0))
+    return full
+
+
 class Tensor:
     """Node in the computation graph holding a float64 array."""
 
@@ -69,11 +84,20 @@ class Tensor:
     # -- graph construction helpers ------------------------------------
 
     @staticmethod
-    def _result(data, parents, backward):
+    def _result(data, operands, vjps):
+        """Graph node of an op's forward value ``data``. ``vjps[i](g)`` maps
+        the output gradient ``g`` to the gradient of ``operands[i]``; the
+        node's backward runs it only when that operand needs a gradient."""
         out = Tensor(data)
-        if _TAPE and any(p.requires_grad for p in parents):
+        if _TAPE and any(p.requires_grad for p in operands):
             out.requires_grad = True
-            out._parents = tuple(parents)
+            out._parents = tuple(operands)
+
+            def backward(g):
+                for p, vjp in zip(operands, vjps):
+                    if p.requires_grad:
+                        p._accumulate(vjp(g))
+
             out._backward = backward
         return out
 
@@ -117,16 +141,10 @@ def as_tensor(x) -> Tensor:
 
 def _binary(out_data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
     """Node of a broadcasting two-operand op: ``grad_a(g)`` and ``grad_b(g)``
-    give each operand's full-size gradient, summed back to its shape; each
-    runs only when its operand needs a gradient."""
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad_a(g), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad_b(g), b.data.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
+    give each operand's full-size gradient, summed back to its shape."""
+    return Tensor._result(out_data, (a, b), (
+        lambda g: _unbroadcast(grad_a(g), a.data.shape),
+        lambda g: _unbroadcast(grad_b(g), b.data.shape)))
 
 
 def add(a, b) -> Tensor:
@@ -168,36 +186,22 @@ def matmul(a, b) -> Tensor:
 def transpose(a: Tensor, axes=(-1, -2)) -> Tensor:
     """Swap two axes, by default the last two."""
     a = as_tensor(a)
-    out_data = np.swapaxes(a.data, *axes)
-
-    def backward(g):
-        a._accumulate(np.swapaxes(g, *axes))
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(np.swapaxes(a.data, *axes), (a,),
+                          (lambda g: np.swapaxes(g, *axes),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(a.data.reshape(shape), (a,),
+                          (lambda g: g.reshape(a.data.shape),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-
-    return Tensor._result(out_data, (a,), backward)
+    squeezed = axis is not None and not keepdims
+    return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), (
+        lambda g: np.broadcast_to(np.expand_dims(g, axis) if squeezed else g,
+                                  a.data.shape).copy(),))
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -214,11 +218,7 @@ def rowsum(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * (0.5 / out_data))
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(out_data, (a,), (lambda g: g * (0.5 / out_data),))
 
 
 def square(a: Tensor) -> Tensor:
@@ -230,13 +230,8 @@ def gelu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = x * cdf
-
-    def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(x * cdf, (a,), (
+        lambda g: g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -245,12 +240,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        a._accumulate(s * (g - inner))
-
-    return Tensor._result(s, (a,), backward)
+    return Tensor._result(s, (a,), (
+        lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -263,66 +254,52 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gx - m1 - xhat * m2) * inv)
+    def x_vjp(g):
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (gx - m1 - xhat * m2) * inv
 
-    return Tensor._result(out_data, (x, gain, bias), backward)
+    return Tensor._result(xhat * gain.data + bias.data, (x, gain, bias), (
+        x_vjp, lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
+        lambda g: g.reshape(-1, d).sum(axis=0)))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor._result(out_data, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return Tensor._result(out_data, tensors, [
+        (lambda g, lo=lo, hi=hi: g[_axis_slice(g.ndim, axis, lo, hi)])
+        for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice along one axis (negative axes count from the end)."""
     a = as_tensor(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out_data = a.data[idx]
+    idx = _axis_slice(a.data.ndim, axis, start, stop)
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         full[idx] = g
-        a._accumulate(full)
+        return full
 
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(a.data[idx], (a,), (vjp,))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows (second-to-last axis) at the given integer indices."""
     a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.intp)
-    out_data = np.take(a.data, indices, axis=-2)
+    return Tensor._result(np.take(a.data, indices, axis=-2), (a,),
+                          (lambda g: _scatter_rows(a.data, indices, g),))
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(full, -2, 0), indices, np.moveaxis(g, -2, 0))
-        a._accumulate(full)
 
-    return Tensor._result(out_data, (a,), backward)
+def top_rows(query: np.ndarray, m: int) -> np.ndarray:
+    """Ascending positions of the m largest ``query`` entries; of equal
+    entries the lower position wins."""
+    return np.sort(np.argsort(-query, kind="stable")[:m])
 
 
 def select_active(z: Tensor, query: Tensor, m: int):
@@ -340,23 +317,15 @@ def select_active(z: Tensor, query: Tensor, m: int):
         raise ValueError("query length must equal the token count")
     if not 1 <= m <= n:
         raise ValueError(f"keep count {m} outside [1, {n}]")
-    order = np.argsort(-query.data, kind="stable")
-    kept = np.sort(order[:m])
-    out_data = np.take(z.data, kept, axis=-2)
+    kept = top_rows(query.data, m)
 
-    def backward(g):
-        if z.requires_grad:
-            full = np.zeros_like(z.data)
-            mv = np.moveaxis(full, -2, 0)
-            mv[kept] = np.moveaxis(g, -2, 0)
-            z._accumulate(full)
-        if query.requires_grad:
-            gq = np.zeros_like(query.data)
-            gsum = np.moveaxis(g, -2, 0).reshape(m, -1).sum(axis=1)
-            gq[kept] = gsum
-            query._accumulate(gq)
+    def query_vjp(g):
+        gq = np.zeros_like(query.data)
+        gq[kept] = np.moveaxis(g, -2, 0).reshape(m, -1).sum(axis=1)
+        return gq
 
-    return Tensor._result(out_data, (z, query), backward), kept
+    return Tensor._result(np.take(z.data, kept, axis=-2), (z, query), (
+        lambda g: _scatter_rows(z.data, kept, g), query_vjp)), kept
 
 
 def insert_rows(z_part: Tensor, kept, n: int, fill: Tensor) -> Tensor:
@@ -376,14 +345,9 @@ def insert_rows(z_part: Tensor, kept, n: int, fill: Tensor) -> Tensor:
     out_data = np.empty(out_shape)
     np.moveaxis(out_data, -2, 0)[masked] = fill.data
     np.moveaxis(out_data, -2, 0)[kept] = np.moveaxis(z_part.data, -2, 0)
-
-    def backward(g):
-        if z_part.requires_grad:
-            z_part._accumulate(np.take(g, kept, axis=-2))
-        if fill.requires_grad:
-            fill._accumulate(np.take(g, masked, axis=-2).reshape(-1, d).sum(axis=0))
-
-    return Tensor._result(out_data, (z_part, fill), backward)
+    return Tensor._result(out_data, (z_part, fill), (
+        lambda g: np.take(g, kept, axis=-2),
+        lambda g: np.take(g, masked, axis=-2).reshape(-1, d).sum(axis=0)))
 
 
 def straight_through(a: Tensor, transform) -> Tensor:
@@ -393,11 +357,7 @@ def straight_through(a: Tensor, transform) -> Tensor:
     out_data = np.asarray(transform(a.data), dtype=np.float64)
     if out_data.shape != a.data.shape:
         raise ValueError("straight-through transform must preserve shape")
-
-    def backward(g):
-        a._accumulate(g)
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(out_data, (a,), (lambda g: g,))
 
 
 # ---------------------------------------------------------------------------

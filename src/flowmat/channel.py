@@ -155,11 +155,14 @@ def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db: float,
 
     Pilot symbols are fixed to unity on all pilot tones, so the noiseless
     observation equals the channel restricted to the pilot indices. Per-entry
-    noise variance is 10^(-snr_db/10); snr_db = inf disables noise entirely.
+    noise variance is 10^(-snr_db/10); snr_db = inf disables noise entirely,
+    and a NaN or -inf SNR raises ValueError.
     """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"pilot SNR must be finite or inf, not {snr_db}")
     idx = geom.pilot_pattern.pilot_indices
     obs = h[:, idx, :].copy()
-    if math.isfinite(snr_db):
+    if snr_db != math.inf:
         rng = np.random.default_rng(seed)
         var = 10.0 ** (-snr_db / 10.0)
         noise = (rng.standard_normal(obs.shape) + 1j * rng.standard_normal(obs.shape))

@@ -21,7 +21,11 @@ EXIT_CONVERGENCE = 5
 
 
 def _load_config(path):
-    from .evalharness import ConfigError, parse_config
+    """The run config with the FMAT_SEED override. A training setting that
+    ``TrainConfig`` rejects, such as a -inf pilot SNR, is a ConfigError
+    before any work."""
+    from .evalharness import ConfigError, _from_cfg, parse_config
+    from .training import TrainConfig
 
     cfg = parse_config(path)
     seed_override = os.environ.get("FMAT_SEED")
@@ -30,6 +34,7 @@ def _load_config(path):
             cfg["seed"] = int(seed_override)
         except ValueError:
             raise ConfigError(f"FMAT_SEED is not an integer: {seed_override!r}")
+    _from_cfg(TrainConfig, cfg)
     return cfg
 
 
@@ -58,13 +63,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evalharness import (check_checkpoint_geometry, eval_estimation,
-                              eval_feedback, make_dataset, uniform_budget_spec)
+    from .evalharness import (ConfigError, check_checkpoint_geometry,
+                              eval_estimation, eval_feedback, make_dataset,
+                              uniform_budget_spec)
     from .model import FlowMatModel
 
     cfg = _load_config(args.config)
     model = FlowMatModel.load(args.checkpoint)
     check_checkpoint_geometry(model, cfg)
+    if args.budget is not None and model.cfg.n_pilot_tokens > 0:
+        raise ConfigError("--budget applies only to a feedback checkpoint")
     geom, channels, eigens, n_train = make_dataset(cfg)
     if model.cfg.n_pilot_tokens > 0:
         mdl_db, ls_db = eval_estimation(model, channels[n_train:], geom,

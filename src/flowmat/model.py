@@ -258,8 +258,7 @@ class FlowMatModel:
         (or of the merge grouping); model metadata, never in the payload."""
         cfg = self.cfg
         if cfg.token_reduction == "query":
-            order = np.argsort(-self.params["query"].data, kind="stable")
-            return np.sort(order[:cfg.keep_count])
+            return ad.top_rows(self.params["query"].data, cfg.keep_count)
         if cfg.token_reduction == "merge":
             size = cfg.n_tokens // cfg.keep_count
             return np.arange(cfg.keep_count) * size + size // 2

@@ -240,6 +240,93 @@ class TestBackwardMechanics:
                                    Tensor(np.ones(2)), h=1e-2)
 
 
+def _frozen_cases():
+    rng = np.random.default_rng(11)
+    n = rng.standard_normal
+    return {
+        "add": (ad.add, [n((2, 3, 4)), n(4)]),
+        "sub": (ad.sub, [n((2, 3, 4)), n(4)]),
+        "mul": (ad.mul, [n((2, 3, 4)), n(4)]),
+        "div": (ad.div, [n((2, 3, 4)), rng.uniform(0.5, 1.5, 4)]),
+        "matmul": (ad.matmul, [n((2, 3, 4)), n((4, 5))]),
+        "layer_norm": (ad.layer_norm, [n((2, 3, 6)), n(6) + 1.0, n(6)]),
+        # the query's gradient is straight-through, not its derivative, so
+        # only the rows are checked against finite differences
+        "select_active": (lambda z, q: ad.select_active(z, q, 2)[0],
+                          [n((2, 4, 3)), np.array([3.0, -1.0, 2.0, 0.0])]),
+        "insert_rows": (lambda z, f: ad.insert_rows(z, [0, 2], 4, f),
+                        [n((2, 2, 3)), n(3)]),
+        "concat": (lambda a, b: ad.concat([a, b], axis=-2),
+                   [n((2, 3, 4)), n((2, 1, 4))]),
+    }
+
+
+FROZEN = _frozen_cases()
+
+
+class TestNodeConstructor:
+    """``Tensor._result`` runs an operand's VJP only when the operand needs a
+    gradient, and accumulates every VJP of an operand used twice."""
+
+    @pytest.mark.parametrize("name,traced", [
+        (name, i) for name, (_, arrays) in FROZEN.items()
+        for i in range(len(arrays)) if (name, i) != ("select_active", 1)])
+    def test_frozen_operand_keeps_no_gradient(self, name, traced):
+        fn, arrays = FROZEN[name]
+        frozen = [Tensor(a) for a in arrays]
+
+        def f(x):
+            operands = list(frozen)
+            operands[traced] = x
+            return ad.tsum(ad.square(fn(*operands)))
+
+        check(f, arrays[traced])
+        assert all(t.grad is None for i, t in enumerate(frozen)
+                   if i != traced)
+
+    def test_select_active_frozen_rows_keep_no_gradient(self):
+        z = Tensor(RNG.standard_normal((2, 4, 3)))
+        q = Tensor(np.array([3.0, -1.0, 2.0, 0.0]), requires_grad=True)
+        out, kept = ad.select_active(z, q, 2)
+        ad.tsum(out).backward()
+        assert z.grad is None
+        expected = np.zeros(4)
+        expected[kept] = 2 * 3  # per-row sum over 2 samples of width 3
+        np.testing.assert_array_equal(q.grad, expected)
+
+    @pytest.mark.parametrize("fn,scale", [
+        (lambda x: ad.square(ad.add(x, x)), 8.0),     # sum 4x^2
+        (lambda x: ad.mul(x, x), 2.0),                 # sum x^2
+        (lambda x: ad.square(ad.concat([x, x], axis=0)), 4.0),  # 2 sum x^2
+    ], ids=["add", "mul", "concat"])
+    def test_operand_shared_by_one_node(self, fn, scale):
+        x0 = RNG.standard_normal((3, 2))
+        x = Tensor(x0.copy(), requires_grad=True)
+        ad.tsum(fn(x)).backward()
+        np.testing.assert_allclose(x.grad, scale * x0, rtol=1e-14)
+        check(lambda t: ad.tsum(fn(t)), x0)
+
+    @pytest.mark.parametrize("axis", [1, -1, (0, 2), (-3, -1)])
+    def test_tsum_over_axes_without_keepdims(self, axis):
+        w = Tensor(RNG.standard_normal(np.zeros((2, 3, 4)).sum(axis).shape))
+        check(lambda x: ad.tsum(ad.mul(ad.square(ad.tsum(x, axis=axis)), w)),
+              RNG.standard_normal((2, 3, 4)))
+
+    @pytest.mark.parametrize("axis", [0, 1, -2])
+    def test_concat_traced_second_along_leading_axis(self, axis):
+        def shape(size):
+            dims = [2, 3, 4]
+            dims[axis] = size
+            return dims
+
+        first = Tensor(RNG.standard_normal(shape(1)))
+        w = Tensor(RNG.standard_normal(shape(3)))
+        check(lambda x: ad.tsum(ad.mul(ad.square(
+            ad.concat([first, x], axis=axis)), w)),
+              RNG.standard_normal(shape(2)))
+        assert first.grad is None
+
+
 class TestNoTape:
     @staticmethod
     def assert_untaped(t):

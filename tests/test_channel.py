@@ -96,6 +96,13 @@ class TestObservationAndLs:
         np.testing.assert_array_equal(
             obs.data, h[:, geom.pilot_pattern.pilot_indices, :])
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_unbounded_or_undefined_noise_rejected(self, snr_db):
+        geom = make_geom()
+        h = generate_channel(geom, MultipathProfile(seed=3))
+        with pytest.raises(ValueError, match="pilot SNR"):
+            observe_pilots(h, geom, snr_db, seed=0)
+
     def test_observation_deterministic_per_seed(self):
         geom = make_geom()
         h = generate_channel(geom, MultipathProfile(seed=3))

@@ -49,6 +49,14 @@ def feedback_model(cfg_path):
                                      token_dim=2 * cfg["n_tx"]))
 
 
+def estimation_model(cfg_path):
+    cfg = eh.parse_config(cfg_path)
+    shape = eh._token_shape(cfg, True)
+    return FlowMatModel(eh._from_cfg(ModelConfig, cfg, **shape,
+                                     keep_count=shape["n_pilot_tokens"],
+                                     token_reduction="query"))
+
+
 class TestGenData:
     def test_writes_readable_container(self, smoke_cfg, tmp_path):
         out = tmp_path / "eigen.fmc"
@@ -154,15 +162,40 @@ class TestExitCodes:
         ("gen-data", "n_subband = 5"), ("analyze-corr", "n_subband = 5"),
         ("gen-data", "n_samples = 0"),
         # one subcarrier has no pair to correlate
-        ("analyze-corr", "n_sub = 1\nn_subband = 1")])
+        ("analyze-corr", "n_sub = 1\nn_subband = 1"),
+        # -inf dB means unbounded pilot noise, not none
+        ("gen-data --kind pilot", "snr_db_min = -inf\nsnr_db_max = -inf")])
     def test_bad_setting_rejected_by_data_commands(self, tmp_path, command,
                                                    setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg),
-                     "--out", str(out)]) == EXIT_CONFIG
+        assert main(command.split() + ["--config", str(cfg),
+                                       "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting,extra", [
+        ("snr_db_min = -inf\nsnr_db_max = -inf", []),
+        # a bit budget means nothing to an estimation checkpoint
+        ("", ["--budget", "64"])])
+    def test_bad_setting_rejected_by_estimation_eval(self, smoke_cfg,
+                                                     tmp_path, monkeypatch,
+                                                     capsys, setting, extra):
+        ckpt = tmp_path / "estimate.fmw"
+        estimation_model(smoke_cfg).save(ckpt)
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_OK
+        assert "ls_nmse_db=" in capsys.readouterr().out
+
+        def no_synthesis(cfg):
+            raise AssertionError("data synthesized for a rejected setting")
+
+        monkeypatch.setattr(eh, "make_dataset", no_synthesis)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE + setting + "\n")
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(ckpt)] + extra) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_eigensolver_failure_in_joint_eval_exits_5(self, tmp_path,
                                                       monkeypatch, capsys):
