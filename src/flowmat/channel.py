@@ -149,24 +149,26 @@ class PilotObservation:
     pilot_indices: np.ndarray = None
 
 
-def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db: float,
-                   seed: int) -> PilotObservation:
-    """Channel at pilot subcarriers plus circular complex Gaussian noise.
-
-    Pilot symbols are fixed to unity on all pilot tones, so the noiseless
-    observation equals the channel restricted to the pilot indices. Per-entry
-    noise variance is 10^(-snr_db/10); snr_db = inf disables noise entirely,
-    and a NaN or -inf SNR raises ValueError.
+def observe_pilots(h: np.ndarray, geom: SystemGeometry, snr_db,
+                   seed) -> PilotObservation:
+    """Channels [..., rx, subcarrier, tx] at the pilot subcarriers plus
+    circular complex Gaussian noise, for the whole stack in one draw from
+    ``seed`` (an int, or a Generator that the call advances). Pilot symbols
+    are unity, so the noiseless observation is ``h`` at the pilot indices.
+    Per-entry noise variance is 10^(-snr_db/10), with one SNR or one per
+    leading index; inf adds no noise, and NaN or -inf raises ValueError.
     """
-    if math.isnan(snr_db) or snr_db == -math.inf:
+    snr = np.asarray(snr_db, dtype=np.float64)
+    if not np.all(snr > -math.inf):
         raise ValueError(f"pilot SNR must be finite or inf, not {snr_db}")
     idx = geom.pilot_pattern.pilot_indices
-    obs = h[:, idx, :].copy()
-    if snr_db != math.inf:
+    obs = np.take(h, idx, axis=-2)
+    if np.any(snr != math.inf):
         rng = np.random.default_rng(seed)
-        var = 10.0 ** (-snr_db / 10.0)
+        # Python's pow, not np.power: the two differ in the last bit
+        var = np.reshape([10.0 ** (-s / 10.0) for s in snr.flat], snr.shape)
         noise = (rng.standard_normal(obs.shape) + 1j * rng.standard_normal(obs.shape))
-        obs = obs + noise * math.sqrt(var / 2.0)
+        obs = obs + noise * np.sqrt(var / 2.0)[..., None, None, None]
     return PilotObservation(data=obs, pilot_indices=idx.copy())
 
 

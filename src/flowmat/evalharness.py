@@ -14,9 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataio
-from .channel import (MultipathProfile, PilotObservation, SystemGeometry,
-                      compute_precoders, every_kth_pattern, generate_batch,
-                      interpolate_frequency, ls_estimate, observe_pilots)
+from .channel import (MultipathProfile, SystemGeometry, compute_precoders,
+                      every_kth_pattern, generate_batch, interpolate_frequency,
+                      ls_estimate, observe_pilots)
 from .model import (FlowMatModel, ModelConfig, estimate_pipeline,
                     feedback_pipeline, parse_value, tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
@@ -298,21 +298,12 @@ def eval_feedback(model: FlowMatModel, eigens, quantizer=None) -> float:
     return rho(w, feedback_pipeline(w, model, quantizer=quantizer)[1])
 
 
-def _observe_all(channels, geom: SystemGeometry, snr_db: float,
-                 rng) -> PilotObservation:
-    """One pilot observation per channel, with noise seeds drawn from
-    ``rng`` in channel order, stacked into one observation."""
-    data = [observe_pilots(h, geom, snr_db, seed=int(rng.integers(2**31))).data
-            for h in channels]
-    return PilotObservation(np.stack(data), geom.pilot_pattern.pilot_indices)
-
-
 def eval_estimation(model: FlowMatModel, channels, geom: SystemGeometry,
                     snr_db: float, seed: int, trials_per_channel: int = 1):
     """(model NMSE dB, LS+linear-interpolation NMSE dB) on the given set,
     each channel observed ``trials_per_channel`` times."""
     truth = np.repeat(np.stack(channels), trials_per_channel, axis=0)
-    obs = _observe_all(truth, geom, snr_db, np.random.default_rng(seed))
+    obs = observe_pilots(truth, geom, snr_db, seed)
     est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
     ls = interpolate_frequency(ls_estimate(obs), obs.pilot_indices, geom.n_sub)
     return nmse_db(est, truth), nmse_db(ls, truth)
@@ -396,6 +387,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
                             keep_count=n_pilots, token_reduction="query")
     budgets = _budget_list(cfg) if task == "feedback" else []
     snrs = _list(cfg, "eval_snrs_db", float) if task == "estimate" else []
+    if not all(snr > -math.inf for snr in snrs):  # NaN compares false too
+        raise ConfigError(f"eval_snrs_db must be finite or inf, not "
+                          f"{cfg['eval_snrs_db']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -481,8 +475,7 @@ def run_experiment(cfg: dict, out_dir) -> list:
 def eval_joint(est_model, fb_model, channels, eigens, geom, cfg) -> float:
     """Composed estimation + feedback Rho on frozen models."""
     snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
-    obs = _observe_all(channels, geom, snr,
-                       np.random.default_rng(cfg["seed"] + 2))
+    obs = observe_pilots(np.stack(channels), geom, snr, cfg["seed"] + 2)
     h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
     w_est = compute_precoders(h_est, geom)
     return rho(np.stack(eigens), feedback_pipeline(w_est, fb_model)[1])
@@ -549,8 +542,8 @@ def export_dataset(cfg: dict, out_path, kind: str = "channel") -> int:
     elif kind == "eigen":
         dataio.write_records(out_path, dataio.KIND_EIGEN, eigens)
     elif kind == "pilot":
-        obs = _observe_all(channels, geom, cfg["snr_db_min"],
-                           np.random.default_rng(cfg["seed"] + 3))
+        obs = observe_pilots(np.stack(channels), geom, cfg["snr_db_min"],
+                             cfg["seed"] + 3)
         dataio.write_records(out_path, dataio.KIND_PILOT, obs.data)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")

@@ -169,7 +169,7 @@ def _init_sublayer(rng, param, pre, norm, mlp, width, d, e):
 
 
 class FlowMatModel:
-    """Holds every learnable parameter and the forward passes."""
+    """Holds the learnable parameters its task runs, and the forward passes."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -185,18 +185,19 @@ class FlowMatModel:
 
         param("in_proj", _linear_init(rng, dt, d))
         param("pos", rng.standard_normal((n, d)) * 0.02)
-        for i in range(cfg.encoder_depth):
-            self._init_block(rng, param, f"enc{i}", d, e)
-        param("enc_out", _linear_init(rng, d, d))
+        if cfg.n_pilot_tokens == 0:  # only feedback encodes and compresses
+            for i in range(cfg.encoder_depth):
+                self._init_block(rng, param, f"enc{i}", d, e)
+            param("enc_out", _linear_init(rng, d, d))
 
-        param("query", rng.standard_normal(n) * 0.02,
-              trainable=cfg.learnable_query)
-        if cfg.token_reduction == "mlp":
-            param("reduce", _linear_init(rng, cfg.keep_count, n))
-            param("expand", _linear_init(rng, n, cfg.keep_count))
+            param("query", rng.standard_normal(n) * 0.02,
+                  trainable=cfg.learnable_query)
+            if cfg.token_reduction == "mlp":
+                param("reduce", _linear_init(rng, cfg.keep_count, n))
+                param("expand", _linear_init(rng, n, cfg.keep_count))
 
-        param("latent_down", _linear_init(rng, d, cfg.d_latent))
-        param("latent_up", _linear_init(rng, cfg.d_latent, d))
+            param("latent_down", _linear_init(rng, d, cfg.d_latent))
+            param("latent_up", _linear_init(rng, cfg.d_latent, d))
 
         mask_tok = (np.zeros(d) if cfg.mask_token_init == "zero"
                     else rng.standard_normal(d))
@@ -257,6 +258,8 @@ class FlowMatModel:
         """Deployment-time kept set: a deterministic artifact of the query
         (or of the merge grouping); model metadata, never in the payload."""
         cfg = self.cfg
+        if cfg.n_pilot_tokens > 0:  # estimation keeps the pilot positions
+            return None
         if cfg.token_reduction == "query":
             return ad.top_rows(self.params["query"].data, cfg.keep_count)
         if cfg.token_reduction == "merge":
@@ -308,6 +311,8 @@ class FlowMatModel:
         mask-attention block (no mask bias when ``kept`` is None), then the
         output projection."""
         cfg, p = self.cfg, self.params
+        if cfg.n_pilot_tokens > 0:
+            raise ValueError("the estimation network has no encoder")
         if tokens.data.shape[-1] != cfg.token_dim:
             raise ValueError("token width does not match the config")
         if tokens.data.shape[-2] != cfg.n_tokens:

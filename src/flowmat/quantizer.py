@@ -249,7 +249,9 @@ def serialize_payload(payload: BitPayload, spec=None, k: int = None) -> bytes:
 
 def parse_payload(raw: bytes):
     """Inverse of serialize_payload; returns (payload, params dict). A
-    message cut anywhere or longer than its bits raises ValueError."""
+    message cut anywhere or longer than its bits, a header that no
+    quantizer writes, or a bit length that is not a whole number of
+    indices raises ValueError."""
     reader = Reader(raw, "payload")
     (tag,) = reader.take("<B")
     if tag not in _TAG_SCHEMES:
@@ -257,8 +259,21 @@ def parse_payload(raw: bytes):
     scheme = _TAG_SCHEMES[tag]
     *fields, bit_length = reader.take(  # params | length
         "<dddI" if scheme == SCHEME_UNIFORM else "<II")
-    params = ({"bits": int(fields[0]), "lo": fields[1], "hi": fields[2]}
-              if scheme == SCHEME_UNIFORM else {"k": fields[0]})
+    if scheme == SCHEME_UNIFORM:
+        width, lo, hi = fields
+        if not (width.is_integer() and math.isfinite(lo)
+                and math.isfinite(hi)):
+            raise ValueError(f"uniform header needs an integral width and "
+                             f"a finite range, not {width}, [{lo}, {hi}]")
+        params = {"bits": int(width), "lo": lo, "hi": hi}
+        index_bits = UniformQuantizerSpec(**params).bits
+    else:
+        params = {"k": fields[0]}
+        index_bits = payload_bits(SCHEME_VQ, 1, 1, k=fields[0])
+    # a one-word codebook has 0-bit indices and writes no bits
+    if bit_length % index_bits if index_bits else bit_length:
+        raise ValueError(f"bit length {bit_length} is not a whole number "
+                         f"of {index_bits}-bit indices")
     (data,) = reader.take(f"<{(bit_length + 7) // 8}s")
     reader.end()
     return BitPayload(bit_length=bit_length, data=data, scheme=scheme), params

@@ -30,10 +30,7 @@ class DivergenceError(RuntimeError):
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 100  # consecutive steps above the factor that abort
 
-# Name prefixes of the parameters ``estimate_forward`` reaches: the Mixer
-# denoiser, and the decoder that completes the grid from its output.
-DENOISER = ("mix",)
-DECODER = ("in_proj", "mask_token", "pos", "dec", "out_proj")
+DENOISER = ("mix",)  # name prefix of the estimation network's Mixer
 
 
 @dataclass
@@ -194,18 +191,15 @@ def _estimation_batch(channels, geom: SystemGeometry, idx, cfg: TrainConfig,
     circularly symmetric, so the rotated channel has the same distribution
     as the original and the rotation only widens the effective training set.
     """
-    noisy, full = [], []
-    for i in idx:
-        h = channels[i] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        snr = (cfg.snr_db_min if cfg.snr_db_min == cfg.snr_db_max
-               else rng.uniform(cfg.snr_db_min, cfg.snr_db_max))
-        obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
-        noisy.append(tokenize_channel(obs.data))
-        full.append(tokenize_channel(h))
-    full = np.stack(full)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(len(idx), 1, 1, 1))
+    h = np.stack([channels[i] for i in idx]) * np.exp(1j * phase)
+    snr = (cfg.snr_db_min if cfg.snr_db_min == cfg.snr_db_max
+           else rng.uniform(cfg.snr_db_min, cfg.snr_db_max, size=len(idx)))
+    noisy = tokenize_channel(observe_pilots(h, geom, snr, rng).data)
+    full = tokenize_channel(h)
     # take, not full[:, idx]: its C order sums like stacked pilot tokens
     clean = np.take(full, geom.pilot_pattern.pilot_indices, axis=1)
-    return np.stack(noisy), clean, full
+    return noisy, clean, full
 
 
 def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
@@ -268,7 +262,7 @@ def train_progressive(model: FlowMatModel, channels, geom: SystemGeometry,
          pilot_loss)
     model.set_trainable(DENOISER, False)
     try:
-        _fit(report, model.parameters(DECODER), cfg, len(channels), rng,
+        _fit(report, model.parameters(), cfg, len(channels), rng,
              grid_loss, phase=2)
     finally:
         model.set_trainable(DENOISER, True)
@@ -288,8 +282,7 @@ def train_joint_estimation(model: FlowMatModel, channels,
         return ad.add(loss_ce(den, clean, cfg.loss_mode),
                       loss_ce(rec, full, cfg.loss_mode))
 
-    _fit(report, model.parameters(DENOISER + DECODER), cfg, len(channels),
-         rng, loss_fn)
+    _fit(report, model.parameters(), cfg, len(channels), rng, loss_fn)
     return report
 
 
@@ -341,8 +334,8 @@ def train_end_to_end(est_model: FlowMatModel, fb_model: FlowMatModel,
         fb_rec, _, _ = fb_model.feedback_forward(eig_tokens)
         return loss_cf(fb_rec, targets[idx])
 
-    _fit(report, est_model.parameters(DENOISER + DECODER)
-         + fb_model.parameters(), cfg, len(channels), rng, loss_fn)
+    _fit(report, est_model.parameters() + fb_model.parameters(), cfg,
+         len(channels), rng, loss_fn)
     return report
 
 

@@ -110,6 +110,44 @@ class TestObservationAndLs:
         o2 = observe_pilots(h, geom, 10.0, seed=4)
         np.testing.assert_array_equal(o1.data, o2.data)
 
+    def test_one_channel_noise_is_one_draw_from_the_seed(self):
+        geom = make_geom()
+        h = generate_channel(geom, MultipathProfile(seed=3))
+        idx, snr = geom.pilot_pattern.pilot_indices, 7.0
+        g = np.random.default_rng(5)
+        s = (geom.n_rx, idx.size, geom.n_tx)
+        want = h[:, idx, :] + ((g.standard_normal(s)
+                                + 1j * g.standard_normal(s))
+                               * math.sqrt(10 ** (-snr / 10) / 2))
+        np.testing.assert_array_equal(
+            observe_pilots(h, geom, snr, seed=5).data, want)
+
+    def test_stack_takes_one_snr_per_sample(self):
+        geom = make_geom()
+        h = generate_batch(geom, MultipathProfile(seed=3), 3)
+        h = np.repeat(h[:, None], 400, axis=1)  # leading axes [3, 400]
+        snr = np.repeat([[0.0], [10.0], [math.inf]], 400, axis=1)
+        truth = h[..., geom.pilot_pattern.pilot_indices, :]
+        err = observe_pilots(h, geom, snr, seed=8).data - truth
+        for i, snr_db in enumerate([0.0, 10.0]):
+            nmse_db = 10.0 * math.log10(float(np.sum(np.abs(err[i]) ** 2))
+                                        / float(np.sum(np.abs(truth[i]) ** 2)))
+            assert abs(nmse_db - (-snr_db)) < 0.3
+        np.testing.assert_array_equal(err[2], 0.0)  # inf: no noise
+        for bad in ([10.0, -math.inf, 0.0], [10.0, 0.0, math.nan]):
+            with pytest.raises(ValueError, match="pilot SNR"):
+                observe_pilots(h[:, 0], geom, np.array(bad), seed=8)
+
+    def test_generator_seed_is_advanced(self):
+        geom = make_geom()
+        h = generate_channel(geom, MultipathProfile(seed=3))
+        rng = np.random.default_rng(4)
+        first = observe_pilots(h, geom, 10.0, rng).data
+        np.testing.assert_array_equal(
+            first, observe_pilots(h, geom, 10.0, seed=4).data)
+        second = observe_pilots(h, geom, 10.0, rng).data
+        assert not np.array_equal(first, second)
+
     def test_ls_with_unit_pilots_is_observation(self):
         geom = make_geom()
         h = generate_channel(geom, MultipathProfile(seed=3))

@@ -146,6 +146,10 @@ class TestExitCodes:
                      id="estimate with snr_db_max = nan"),
         pytest.param("task = estimate\nsnr_db_min = -inf\nsnr_db_max = -inf",
                      id="estimate with snr_db = -inf"),
+        pytest.param("task = estimate\neval_snrs_db = 0,-inf",
+                     id="estimate with eval_snrs_db = 0,-inf"),
+        pytest.param("task = estimate\neval_snrs_db = 0,nan",
+                     id="estimate with eval_snrs_db = 0,nan"),
         "lr = nan", "lr = inf", "lr = -1",
         # a VQ payload needs a power-of-two codebook
         pytest.param("quantizer = vq\nvq_codebook_size = 3",

@@ -14,8 +14,9 @@ from flowmat.evalharness import (ConfigError, DEFAULTS, EvalResult,
                                  freq_correlation, make_dataset, nmse_db,
                                  parse_config, rho, run_experiment,
                                  write_results_csv)
-from flowmat.channel import (compute_precoders, interpolate_frequency,
-                             ls_estimate, observe_pilots)
+from flowmat.channel import (PilotObservation, compute_precoders,
+                             interpolate_frequency, ls_estimate,
+                             observe_pilots)
 from flowmat.model import (FlowMatModel, ModelConfig, estimate_pipeline,
                            feedback_pipeline)
 
@@ -160,32 +161,31 @@ class TestTruncationBaseline:
 
 def _eval_estimation_loop(model, channels, geom, snr_db, seed,
                           trials_per_channel=1):
-    """Per-sample reference: one observation and pipeline call at a time,
-    errors accumulated over the set."""
+    """Per-sample reference: the stack observed in the same one call, then
+    one pipeline call per sample, errors accumulated over the set."""
     model_err = truth_pow = ls_err = 0.0
-    rng = np.random.default_rng(seed)
-    for h in channels:
-        for _ in range(trials_per_channel):
-            obs = observe_pilots(h, geom, snr_db,
-                                 seed=int(rng.integers(2**31)))
-            est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
-            ls = interpolate_frequency(ls_estimate(obs),
-                                       geom.pilot_pattern.pilot_indices,
-                                       geom.n_sub)
-            model_err += float(np.sum(np.abs(est - h) ** 2))
-            ls_err += float(np.sum(np.abs(ls - h) ** 2))
-            truth_pow += float(np.sum(np.abs(h) ** 2))
+    truth = np.repeat(np.stack(channels), trials_per_channel, axis=0)
+    stacked = observe_pilots(truth, geom, snr_db, seed)
+    for h, y in zip(truth, stacked.data):
+        obs = PilotObservation(y, stacked.pilot_indices)
+        est = estimate_pipeline(obs, model, geom.n_rx, geom.n_tx)
+        ls = interpolate_frequency(ls_estimate(obs),
+                                   geom.pilot_pattern.pilot_indices,
+                                   geom.n_sub)
+        model_err += float(np.sum(np.abs(est - h) ** 2))
+        ls_err += float(np.sum(np.abs(ls - h) ** 2))
+        truth_pow += float(np.sum(np.abs(h) ** 2))
     return (10.0 * math.log10(model_err / truth_pow),
             10.0 * math.log10(ls_err / truth_pow))
 
 
 def _eval_joint_loop(est_model, fb_model, channels, eigens, geom, cfg):
-    """Per-sample reference for ``eval_joint``."""
-    rng = np.random.default_rng(cfg["seed"] + 2)
+    """Per-sample reference for ``eval_joint`` on its one observation."""
+    snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
+    stacked = observe_pilots(np.stack(channels), geom, snr, cfg["seed"] + 2)
     preds = []
-    for h in channels:
-        snr = 0.5 * (cfg["snr_db_min"] + cfg["snr_db_max"])
-        obs = observe_pilots(h, geom, snr, seed=int(rng.integers(2**31)))
+    for y in stacked.data:
+        obs = PilotObservation(y, stacked.pilot_indices)
         h_est = estimate_pipeline(obs, est_model, geom.n_rx, geom.n_tx)
         w_est = compute_precoders(h_est, geom)
         _, w_rec = feedback_pipeline(w_est, fb_model)

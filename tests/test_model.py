@@ -1,7 +1,7 @@
 """Masked-token transformer: tokenization, mask biases, attention semantics,
 checkpoint I/O and the forward-pass contracts."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -274,6 +274,22 @@ class TestDenoiserAndEstimation:
         den, rec = model.estimate_forward(tokens, [0, 2, 4, 6])
         assert den.data.shape == (4, 4)
         assert rec.data.shape == (8, 4)
+
+    @pytest.mark.parametrize("reduction", ["query", "mlp", "merge"])
+    def test_holds_only_the_denoiser_and_decoder(self, tmp_path, reduction):
+        model = FlowMatModel(replace(self.est_config(),
+                                     token_reduction=reduction))
+        assert not [name for name in model.params if name.startswith(
+            ("enc", "query", "latent_", "reduce", "expand"))]
+        assert model.kept_indices() is None
+        with pytest.raises(ValueError):
+            model.encode(Tensor(np.zeros((8, 4))))
+        path = tmp_path / "est.fmw"
+        model.save(path)
+        back = FlowMatModel.load(path)
+        assert sorted(back.params) == sorted(model.params)
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(back.params[name].data, t.data)
 
     def test_estimate_forward_position_count(self):
         model = FlowMatModel(self.est_config())

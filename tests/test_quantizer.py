@@ -1,5 +1,8 @@
 """Uniform / vector quantization, bit packing and the payload wire format."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +289,27 @@ class TestWireFormat:
         _, payload = vq_assign(np.zeros((2, 3)), make_codebook(4, 3, seed=0))
         with pytest.raises(ValueError, match="1 bytes after"):
             parse_payload(serialize_payload(payload, k=4) + b"\x00")
+
+    @pytest.mark.parametrize("header", [
+        # uniform: (width, lo, hi, bit length)
+        pytest.param((2.5, 0.0, 1.0, 10), id="width 2.5"),
+        pytest.param((-3.0, 0.0, 1.0, 6), id="width -3"),
+        pytest.param((math.inf, 0.0, 1.0, 8), id="width inf"),
+        pytest.param((4.0, 0.0, math.nan, 8), id="hi nan"),
+        pytest.param((4.0, 1.0, 0.0, 8), id="lo > hi"),
+        pytest.param((4.0, -math.inf, 1.0, 8), id="lo -inf"),
+        pytest.param((4.0, 0.0, 1.0, 7), id="7 bits at width 4"),
+        # VQ: (codebook size, bit length)
+        pytest.param((0, 0), id="k 0"),
+        pytest.param((3, 4), id="k 3"),
+        pytest.param((4, 3), id="3 bits at k 4")])
+    def test_header_no_quantizer_writes_rejected(self, header):
+        *params, bit_length = header
+        raw = (struct.pack("<BdddI", 0, *params, bit_length)
+               if len(params) == 3 else struct.pack("<BII", 1, *params,
+                                                    bit_length))
+        with pytest.raises(ValueError):
+            parse_payload(raw + bytes((bit_length + 7) // 8))
 
     def test_truncated_bits_rejected(self):
         spec = UniformQuantizerSpec(bits=8, lo=0.0, hi=1.0)

@@ -341,7 +341,8 @@ class TestEstimationTraining:
         model.set_trainable(["mix"], True)
 
     def test_prefixes_name_every_reached_parameter(self):
-        # the estimation regimes hand Adam only these prefixes
+        # the estimation regimes hand Adam every trainable tensor, and
+        # progressive phase 1 the Mixer's, which DENOISER names
         geom = small_geom()
         model = self.est_model()
         noisy, clean, full = tr._estimation_batch(
@@ -353,8 +354,14 @@ class TestEstimationTraining:
         reached = {name for name, t in model.params.items()
                    if t.grad is not None}
         assert reached == {name for name, t in model.params.items()
-                           if t.requires_grad
-                           and name.startswith(tr.DENOISER + tr.DECODER)}
+                           if t.requires_grad}
+        for t in model.params.values():
+            t.grad = None
+        tr.loss_ce(model.denoise(Tensor(noisy)), clean).backward()
+        mixer = {name for name, t in model.params.items()
+                 if t.grad is not None}
+        assert mixer == {name for name in model.params
+                         if name.startswith(tr.DENOISER)}
 
     def test_joint_regime_runs(self):
         geom = small_geom()
