@@ -3,9 +3,12 @@
 A Tensor wraps a numpy array and records the operations applied to it in a
 dynamically built graph; calling ``backward()`` on a scalar result walks the
 graph in reverse topological order and accumulates gradients into every
-tensor created with ``requires_grad=True``. Operations work on the last one
-or two axes so the same code path handles single samples and batched inputs
-(leading axes broadcast).
+tensor created with ``requires_grad=True``. Gradients stay on leaves only:
+an op result's ``.grad`` is dropped as soon as its backward has run, so a
+second ``backward()`` adds exactly one more copy to each leaf. A gradient
+array may be shared between tensors, so no code writes a ``.grad`` in
+place. Operations work on the last one or two axes so the same code path
+handles single samples and batched inputs (leading axes broadcast).
 
 The tape lives only in the Python object graph: dropping the loss tensor
 frees it, so one graph per training step needs no explicit reset.
@@ -102,9 +105,19 @@ class Tensor:
         return out
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add ``g`` to this node's gradient. The first gradient is adopted
+        when it is laid out like ``data`` and copied into that layout
+        otherwise, since the layout sets the summation order of later ops;
+        later ones are added out of place, as ``g`` may alias another
+        node's gradient."""
+        if self.grad is not None:
+            self.grad = self.grad + g
+        elif (isinstance(g, np.ndarray) and g.shape == self.data.shape
+              and g.strides == self.data.strides):
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def backward(self):
         if self.data.size != 1:
@@ -127,6 +140,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def zero_grad(self):
         self.grad = None

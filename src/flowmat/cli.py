@@ -2,8 +2,10 @@
 
 Subcommands: gen-data, train, eval, analyze-corr, report. Configuration is
 a flat key=value text file; FMAT_SEED overrides the config seed. Exit codes:
-0 success, 2 config error, 3 data error, 4 divergence abort, 5 the
-eigensolver did not converge (for example on a noisy channel estimate).
+0 success, 2 config error, 3 data error (a corrupt input, or a file that
+cannot be read or written, such as a directory given as a file), 4
+divergence abort, 5 the eigensolver did not converge (for example on a
+noisy channel estimate).
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:

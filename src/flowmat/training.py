@@ -225,6 +225,7 @@ def _fit(report: TrainReport, params, cfg: TrainConfig, n: int, rng,
         loss.backward()
         opt.step()
         val = float(loss.data)
+        del loss  # the graph goes before the next forward builds one
         if not math.isfinite(val):
             raise DivergenceError(f"non-finite loss {val}")
         if initial is None:

@@ -239,6 +239,44 @@ class TestBackwardMechanics:
             finite_diff_grad_check(lambda x: ad.tsum(x),
                                    Tensor(np.ones(2)), h=1e-2)
 
+    def test_second_backward_adds_one_more_leaf_gradient(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        out = ad.tsum(ad.mul(ad.gelu(ad.mul(x, 3.0)), 2.0))
+        out.backward()
+        first = x.grad.copy()
+        out.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * first)
+
+    @staticmethod
+    def graph(out):
+        """Every tensor reachable from ``out`` through its parents."""
+        seen, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        return list(seen.values())
+
+    def test_gradients_kept_on_leaves_only(self):
+        # w's data is a transposed view, so the C-ordered gradient reaching
+        # it is copied into its layout; x's gradient arrives through a
+        # transpose as a transposed view and is copied into x's C layout
+        x = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((3, 2)).T, requires_grad=True)
+        b = Tensor(RNG.standard_normal((2, 1)), requires_grad=True)
+        h = ad.gelu(ad.add(ad.matmul(w, ad.transpose(x)), b))
+        out = ad.tsum(ad.mul(h, h))
+        nodes = self.graph(out)
+        out.backward()
+        interior = [node for node in nodes if node._backward is not None]
+        assert len(interior) == 6
+        assert all(node.grad is None for node in interior)
+        assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+        for leaf in (x, w, b):
+            assert leaf.grad.shape == leaf.data.shape
+            assert leaf.grad.strides == leaf.data.strides
+
 
 def _frozen_cases():
     rng = np.random.default_rng(11)

@@ -104,6 +104,18 @@ class TestExitCodes:
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path)]) == EXIT_DATA
 
+    def test_gen_data_out_is_directory(self, smoke_cfg, tmp_path, capsys):
+        assert main(["gen-data", "--config", str(smoke_cfg),
+                     "--out", str(tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_train_out_dir_is_file(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["train", "--config", str(smoke_cfg),
+                     "--out-dir", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_divergence_aborts_with_4(self, tmp_path):
         cfg = tmp_path / "div.cfg"
         cfg.write_text(SMOKE + "task = estimate\nsteps = 400\nlr = 1e5\n")

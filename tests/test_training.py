@@ -1,6 +1,8 @@
 """Loss functions, the differentiable eigen extraction, and the training
 regimes (freeze contract, determinism, divergence guard)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,22 @@ class TestFeedbackTraining:
                                  TrainConfig(steps=10, batch_size=4, seed=3))
             losses.append(rep.losses)
         assert losses[0] == losses[1]
+
+    def test_each_step_releases_the_previous_graph(self, monkeypatch):
+        # a step's graph must be gone before the next step's forward, so
+        # two graphs are never alive at once
+        alive = []
+
+        def recording_loss(pred, target):
+            assert all(ref() is None for ref in alive)
+            loss = loss_cf(pred, target)
+            alive.extend([weakref.ref(loss.data), weakref.ref(pred.data)])
+            return loss
+
+        monkeypatch.setattr(tr, "loss_cf", recording_loss)
+        train_feedback(FlowMatModel(fb_config()), self.eigens(),
+                       TrainConfig(steps=3, batch_size=4))
+        assert len(alive) == 6
 
     def test_vq_codebook_trains(self):
         from flowmat.quantizer import make_codebook
