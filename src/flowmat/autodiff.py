@@ -16,11 +16,36 @@ frees it, so one graph per training step needs no explicit reset.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf():
+    """scipy's compiled ``erf`` ufunc, loaded from its extension module
+    alone: ``import scipy.special`` runs a package init that loads about
+    290 more modules and 18 MB. Falls back to that import where the
+    module is missing (older scipy) or lacks ``erf``."""
+    scipy = importlib.util.find_spec("scipy")  # finds, does not import
+    if scipy is not None and scipy.submodule_search_locations:
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.special._special_ufuncs",
+            [os.path.join(p, "special")
+             for p in scipy.submodule_search_locations])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _TAPE = True  # False inside no_tape()
 
@@ -347,14 +372,18 @@ def insert_rows(z_part: Tensor, kept, n: int, fill: Tensor) -> Tensor:
     every other row is the shared ``fill`` vector."""
     z_part, fill = as_tensor(z_part), as_tensor(fill)
     kept = np.asarray(kept, dtype=np.intp)
-    if len(np.unique(kept)) != len(kept):
+    if kept.size and (kept.min() < 0 or kept.max() >= n):
+        raise ValueError(f"kept indices must lie in [0, {n})")
+    is_kept = np.zeros(n, dtype=bool)
+    is_kept[kept] = True
+    if np.count_nonzero(is_kept) != len(kept):
         raise ValueError("kept indices collide")
     if z_part.data.shape[-2] != len(kept):
         raise ValueError("z_part row count must equal len(kept)")
     d = z_part.data.shape[-1]
     if fill.data.shape != (d,):
         raise ValueError("fill vector width mismatch")
-    masked = np.setdiff1d(np.arange(n), kept)
+    masked = np.flatnonzero(~is_kept)
     out_shape = z_part.data.shape[:-2] + (n, d)
     out_data = np.empty(out_shape)
     np.moveaxis(out_data, -2, 0)[masked] = fill.data

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (load now, not lazily in the first draw)
 
 from .linalg import hermitian_top_eigpairs
 

@@ -1,7 +1,10 @@
 """Gradient correctness of every differentiable op via central differences."""
 
+import importlib.machinery
+
 import numpy as np
 import pytest
+import scipy.special
 
 import flowmat.autodiff as ad
 from flowmat.autodiff import Adam, Tensor, finite_diff_grad_check
@@ -199,9 +202,14 @@ class TestSelectionOps:
             ad.insert_rows(Tensor(part), [0, 2], 4, f))),
               np.full(3, 0.5))
 
-    def test_insert_rows_rejects_collisions(self):
+    # with n = 4 a -1 would wrap to row 3: beside 3 a silent collision,
+    # beside 0 a row that is both kept and filled
+    @pytest.mark.parametrize("kept", [[1, 1], [3, -1], [0, -1], [0, 4]],
+                             ids=["repeat", "negative-wraps-to-kept",
+                                  "negative-wraps-to-free", "past-end"])
+    def test_insert_rows_rejects_collisions(self, kept):
         with pytest.raises(ValueError):
-            ad.insert_rows(Tensor(np.zeros((2, 3))), [1, 1], 4,
+            ad.insert_rows(Tensor(np.zeros((2, 3))), kept, 4,
                            Tensor(np.zeros(3)))
 
     def test_straight_through_identity_gradient(self):
@@ -446,3 +454,31 @@ class TestAdam:
             mhat, vhat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
             x = x - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
         np.testing.assert_array_equal(self.steps([1.0, 2.0], grads), x)
+
+
+class TestErfLoader:
+    def test_same_bits_as_scipy_special(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        probe = np.concatenate(
+            [RNG.standard_normal(10_000) * scale
+             for scale in (0.01, 1.0, 3.0, 10.0)]
+            + [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                         1e-310, -1e-310, 6.0, -6.0, 27.0, -27.0])])
+        np.testing.assert_array_equal(
+            ad.erf(probe).view(np.uint64),
+            scipy.special.erf(probe).view(np.uint64))
+
+    def test_falls_back_to_scipy_special(self, monkeypatch):
+        find_spec = importlib.machinery.PathFinder.find_spec
+        asked = []
+
+        def no_ufuncs(name, path=None, target=None):
+            asked.append(name)
+            if name == "scipy.special._special_ufuncs":
+                return None
+            return find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            staticmethod(no_ufuncs))
+        assert ad._load_erf() is scipy.special.erf
+        assert "scipy.special._special_ufuncs" in asked

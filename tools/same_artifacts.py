@@ -8,12 +8,12 @@ three full benchmark sessions (``bench/session.py`` for ``feedback``,
 each in a fresh process on that tree's own ``src/``. It then compares every
 file the sessions wrote. ``session.json`` holds timings and is skipped, and
 ``manifest.json`` is compared without its ``started`` and ``finished``
-times. The script prints each tree's ``peak_rss_mb`` per workload, read
-from the skipped ``session.json``, so one command shows both the byte
-identity and the memory change. It then prints the files that differ or
-exist in one tree only, and exits 1 if there are any, else 0; a session
-with a failed step stops it with exit 1. It writes only to a temporary
-directory. The six sessions take about 30 s on a 2-CPU machine.
+times. The script prints each tree's ``setup_s`` and ``peak_rss_mb`` per
+workload, read from the skipped ``session.json``, so one command shows the
+byte identity, the startup and the memory change. It then prints the files
+that differ or exist in one tree only, and exits 1 if there are any, else
+0; a session with a failed step stops it with exit 1. It writes only to a
+temporary directory. The six sessions take about 30 s on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ MANIFEST_TIMES = ("started", "finished")
 
 def run_sessions(tree: Path, out: Path) -> dict:
     """Every workload's full session of ``tree``, written under ``out``;
-    returns each workload's ``peak_rss_mb``."""
+    returns each workload's session record."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(FMAT_SEED=SEED, OPENBLAS_NUM_THREADS="1")
-    peak_rss_mb = {}
+    sessions = {}
     for workload in WORKLOADS:
         print(f"# {tree}: {workload}", file=sys.stderr, flush=True)
         subprocess.run([sys.executable, str(tree / "bench" / "session.py"),
@@ -47,8 +47,8 @@ def run_sessions(tree: Path, out: Path) -> dict:
         if session["failures"]:
             sys.exit(f"{tree}: {workload} session failed: "
                      f"{session['failures']}")
-        peak_rss_mb[workload] = session["peak_rss_mb"]
-    return peak_rss_mb
+        sessions[workload] = session
+    return sessions
 
 
 def artifact(path: Path) -> bytes:
@@ -82,11 +82,14 @@ def main(argv) -> int:
     trees = [Path(t).resolve() for t in argv]
     with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
         outs = [Path(tmp) / name for name in ("parent", "change")]
-        peaks = [run_sessions(tree, out) for tree, out in zip(trees, outs)]
+        parent, change = [run_sessions(tree, out)
+                          for tree, out in zip(trees, outs)]
         diff, n_files = compare(*outs)
     for workload in WORKLOADS:
-        print(f"peak_rss_mb {workload}: parent {peaks[0][workload]:.1f}, "
-              f"change {peaks[1][workload]:.1f}")
+        p, c = parent[workload], change[workload]
+        print(f"{workload}: setup_s parent {p['setup_s']:.3f}, change "
+              f"{c['setup_s']:.3f}; peak_rss_mb parent {p['peak_rss_mb']:.1f}, "
+              f"change {c['peak_rss_mb']:.1f}")
     for name in diff:
         print(f"differs: {name}")
     print(f"{len(diff)} of {n_files} files differ")
