@@ -17,7 +17,7 @@ Run: python3 demos/03_channel_estimation.py
 from flowmat.channel import (MultipathProfile, SystemGeometry,
                              every_kth_pattern, generate_channel)
 from flowmat.evalharness import eval_estimation
-from flowmat.model import FlowMatModel, ModelConfig
+from flowmat.model import EstimationConfig, FlowMatModel
 from flowmat.training import TrainConfig, train_progressive
 
 geom = SystemGeometry(n_tx=8, n_rx=1, n_sub=16, n_subband=4,
@@ -31,10 +31,9 @@ n_pilots = len(geom.pilot_pattern.pilot_indices)
 print(f"{geom.n_sub} subcarriers, pilots on {n_pilots} of them; "
       f"{len(train_set)} train / {len(test_set)} held-out channels")
 
-model = FlowMatModel(ModelConfig(n_tokens=16, token_dim=16, d_model=32,
-                                 n_heads=4, encoder_depth=3, decoder_depth=1,
-                                 d_latent=4, keep_count=8,
-                                 n_pilot_tokens=n_pilots, seed=0))
+model = FlowMatModel(EstimationConfig(n_tokens=16, token_dim=16, d_model=32,
+                                      n_heads=4, decoder_depth=1,
+                                      n_pilot_tokens=n_pilots, seed=0))
 report = train_progressive(model, train_set, geom,
                            TrainConfig(steps=2000, batch_size=32, lr=1e-3,
                                        seed=0, snr_db_min=10.0,

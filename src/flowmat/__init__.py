@@ -8,8 +8,8 @@ from .channel import (MultipathProfile, PilotObservation, PilotPattern,
 from .evalharness import (EvalResult, baseline_truncation, freq_correlation,
                           nmse_db, rho, run_experiment)
 from .linalg import ConvergenceError, EigenPair, hermitian_top_eigpair
-from .model import (FlowMatModel, ModelConfig, build_mask_bias,
-                    estimate_pipeline, feedback_pipeline)
+from .model import (EstimationConfig, FeedbackConfig, FlowMatModel,
+                    build_mask_bias, estimate_pipeline, feedback_pipeline)
 from .quantizer import (BitPayload, UniformQuantizerSpec, VqCodebook,
                         payload_bits, uniform_dequantize, uniform_quantize,
                         vq_assign, vq_losses)

@@ -73,23 +73,23 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     model = FlowMatModel.load(args.checkpoint)
     check_checkpoint_geometry(model, cfg)
-    if args.budget is not None and model.cfg.n_pilot_tokens > 0:
-        raise ConfigError("--budget applies only to a feedback checkpoint")
-    geom, channels, eigens, n_train = make_dataset(cfg)
-    if model.cfg.n_pilot_tokens > 0:
+    if model.estimation:
+        if args.budget is not None:
+            raise ConfigError("--budget applies only to a feedback checkpoint")
+        geom, channels, _, n_train = make_dataset(cfg)
         mdl_db, ls_db = eval_estimation(model, channels[n_train:], geom,
                                         cfg["snr_db_min"], seed=cfg["seed"] + 1)
         print(f"model_nmse_db={mdl_db} ls_nmse_db={ls_db}")
-    else:
-        quant = None
-        if args.budget is not None:
-            quant = uniform_budget_spec(model, args.budget)
-            if quant is None:
-                print("checkpoint lacks calibration for this budget",
-                      file=sys.stderr)
-                return EXIT_DATA
-        r = eval_feedback(model, eigens[n_train:], quantizer=quant)
-        print(f"rho={r}")
+        return EXIT_OK
+    quant = None
+    if args.budget is not None:
+        quant = uniform_budget_spec(model, args.budget)
+        if quant is None:
+            print("checkpoint lacks calibration for this budget",
+                  file=sys.stderr)
+            return EXIT_DATA
+    _, _, eigens, n_train = make_dataset(cfg)
+    print(f"rho={eval_feedback(model, eigens[n_train:], quantizer=quant)}")
     return EXIT_OK
 
 

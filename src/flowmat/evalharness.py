@@ -17,8 +17,9 @@ from . import dataio
 from .channel import (MultipathProfile, SystemGeometry, compute_precoders,
                       every_kth_pattern, generate_batch, interpolate_frequency,
                       ls_estimate, observe_pilots)
-from .model import (FlowMatModel, ModelConfig, estimate_pipeline,
-                    feedback_pipeline, parse_value, tokenize_eigen)
+from .model import (EstimationConfig, FeedbackConfig, FlowMatModel,
+                    estimate_pipeline, feedback_pipeline, parse_value,
+                    tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
                         make_codebook, payload_bits, uniform_dequantize,
                         uniform_quantize)
@@ -126,8 +127,9 @@ def baseline_truncation(w: np.ndarray, bits, quant_bits: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The keys spelled out here have no dataclass default. Every other key is a
-# field of the run's dataclasses and takes that field's default, except
-# ``n_pilot_tokens``, which the task fixes.
+# field of the run's dataclasses and takes that field's default. The fields
+# with no default, the token shape and the pilot count, follow from the
+# geometry.
 DEFAULTS = {
     # task / orchestration
     "task": "feedback",            # feedback | estimate | joint
@@ -149,9 +151,9 @@ DEFAULTS = {
     "budgets": "64,128,256",
     "eval_snrs_db": "0,10,20",
     **{f.name: f.default
-       for cls in (SystemGeometry, MultipathProfile, ModelConfig, TrainConfig)
-       for f in fields(cls) if f.default is not MISSING
-       and f.name != "n_pilot_tokens"},
+       for cls in (SystemGeometry, MultipathProfile, FeedbackConfig,
+                   EstimationConfig, TrainConfig)
+       for f in fields(cls) if f.default is not MISSING},
 }
 
 # the regimes each task trains with; feedback has one and ignores ``regime``
@@ -209,20 +211,19 @@ def _n_train(cfg: dict) -> int:
 
 
 def _token_shape(cfg: dict, estimation: bool) -> dict:
-    """The ``ModelConfig`` fields that the geometry fixes, for the
+    """The network config fields that the geometry fixes, for the
     estimation network (one token per subcarrier, pilot denoiser) or the
     feedback network (one token per subband)."""
     if estimation:
         return dict(n_tokens=cfg["n_sub"],
                     token_dim=2 * cfg["n_tx"] * cfg["n_rx"],
                     n_pilot_tokens=_geometry(cfg).pilot_pattern.n_pilots)
-    return dict(n_tokens=cfg["n_subband"], token_dim=2 * cfg["n_tx"],
-                n_pilot_tokens=0)
+    return dict(n_tokens=cfg["n_subband"], token_dim=2 * cfg["n_tx"])
 
 
 def check_checkpoint_geometry(model: FlowMatModel, cfg: dict) -> None:
     """ConfigError unless ``model`` was built for the geometry of ``cfg``."""
-    want = _token_shape(cfg, model.cfg.n_pilot_tokens > 0)
+    want = _token_shape(cfg, model.estimation)
     got = {key: getattr(model.cfg, key) for key in want}
     if got != want:
         raise ConfigError(f"the checkpoint was built for {got}, but the "
@@ -373,6 +374,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
     if _n_train(cfg) < 1:
         raise ConfigError("the train/test split leaves no training sample")
+    if cfg["finetune_steps"] < 0:
+        raise ConfigError(f"finetune_steps must be >= 0, not "
+                          f"{cfg['finetune_steps']}")
     n_pilots = _geometry(cfg).pilot_pattern.n_pilots
     if task == "estimate" and n_pilots < 2:
         raise ConfigError("the LS interpolation baseline needs at least 2 "
@@ -381,10 +385,9 @@ def run_experiment(cfg: dict, out_dir) -> list:
     tcfg = _from_cfg(TrainConfig, cfg)
     fb_cfg = est_cfg = None
     if task != "estimate":
-        fb_cfg = _from_cfg(ModelConfig, cfg, **_token_shape(cfg, False))
+        fb_cfg = _from_cfg(FeedbackConfig, cfg, **_token_shape(cfg, False))
     if task != "feedback":
-        est_cfg = _from_cfg(ModelConfig, cfg, **_token_shape(cfg, True),
-                            keep_count=n_pilots, token_reduction="query")
+        est_cfg = _from_cfg(EstimationConfig, cfg, **_token_shape(cfg, True))
     budgets = _budget_list(cfg) if task == "feedback" else []
     snrs = _list(cfg, "eval_snrs_db", float) if task == "estimate" else []
     if not all(snr > -math.inf for snr in snrs):  # NaN compares false too
@@ -520,11 +523,15 @@ def _budget_list(cfg: dict):
 
 
 def _list(cfg: dict, key: str, typ: type) -> list:
-    """The comma-separated ``typ`` values of ``cfg[key]``."""
+    """The comma-separated ``typ`` values of ``cfg[key]``; ConfigError
+    when it lists none."""
     try:
-        return [typ(v) for v in str(cfg[key]).split(",") if v.strip()]
+        values = [typ(v) for v in str(cfg[key]).split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad {key} list: {exc}")
+    if not values:
+        raise ConfigError(f"{key} lists no value")
+    return values
 
 
 def _write_budget_curve(path, results) -> None:

@@ -29,26 +29,16 @@ CHECKPOINT_MAGIC = b"FMW1"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class ModelConfig:
+@dataclass(kw_only=True)
+class _DecoderConfig:
+    """The settings of the masked-token decoder, which both networks run."""
     n_tokens: int                 # tokens per sequence
     token_dim: int                # width of one token
     d_model: int = 64
     n_heads: int = 4
-    encoder_depth: int = 3        # last encoder block carries the mask bias
     decoder_depth: int = 3        # first decoder block carries the inverse mask
-    d_latent: int = 4             # pre-quantization latent width per token
-    keep_count: int = 4           # m: tokens kept by active masking
     mask_mode: str = "hard"       # hard | paper_literal
-    mask_token_init: str = "zero"  # zero | randn
-    mask_token_trainable: bool = True
-    learnable_query: bool = True
-    share_projections: bool = False
     mlp_expansion: int = 2
-    denoiser_blocks: int = 2
-    denoiser_expansion: int = 2
-    n_pilot_tokens: int = 0       # > 0 enables the pilot denoiser
-    token_reduction: str = "query"  # query | mlp | merge
     seed: int = 0
 
     def __post_init__(self):
@@ -56,30 +46,44 @@ class ModelConfig:
             raise ValueError("need at least one attention head")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 1 <= self.keep_count <= self.n_tokens:
-            raise ValueError("keep_count outside [1, n_tokens]")
         if self.mask_mode not in ("hard", "paper_literal"):
             raise ValueError(f"unknown mask mode {self.mask_mode!r}")
-        if self.mask_token_init not in ("zero", "randn"):
-            raise ValueError(f"unknown mask token init {self.mask_token_init!r}")
-        if self.token_reduction not in ("query", "mlp", "merge"):
-            raise ValueError(f"unknown token reduction {self.token_reduction!r}")
-        if self.token_reduction == "merge" and self.n_tokens % self.keep_count:
-            raise ValueError("merge reduction needs keep_count | n_tokens")
-        if min(self.encoder_depth, self.decoder_depth) < 1:
-            raise ValueError("need at least one encoder and decoder block")
-        if min(self.d_model, self.d_latent) < 1:
-            raise ValueError("d_model and d_latent must be positive")
+        if min(self.d_model, self.decoder_depth) < 1:
+            raise ValueError("d_model and decoder_depth must be positive")
+
+
+@dataclass(kw_only=True)
+class FeedbackConfig(_DecoderConfig):
+    """The feedback network: encoder, query selection, latent, decoder."""
+    encoder_depth: int = 3        # last encoder block carries the mask bias
+    d_latent: int = 4             # pre-quantization latent width per token
+    keep_count: int = 4           # m: tokens kept by active masking
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 1 <= self.keep_count <= self.n_tokens:
+            raise ValueError("keep_count outside [1, n_tokens]")
+        if min(self.encoder_depth, self.d_latent) < 1:
+            raise ValueError("encoder_depth and d_latent must be positive")
+
+
+@dataclass(kw_only=True)
+class EstimationConfig(_DecoderConfig):
+    """The estimation network: Mixer pilot denoiser, then the decoder."""
+    n_pilot_tokens: int           # pilot subcarriers the denoiser reads
+    denoiser_blocks: int = 2
+    denoiser_expansion: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 1 <= self.n_pilot_tokens <= self.n_tokens:
+            raise ValueError("n_pilot_tokens outside [1, n_tokens]")
 
 
 def parse_value(text: str, typ: type):
-    """The ``key=value`` text form of a setting, as a bool, int, float or
-    str ``typ``: run-config lines and ``.fmw`` header lines alike.
-    Raises ValueError for text that is not a ``typ``, NaN included."""
-    if typ is bool:
-        if text not in ("true", "false", "True", "False"):
-            raise ValueError(f"not a boolean: {text!r}")
-        return text in ("true", "True")
+    """The ``key=value`` text form of a setting, as an int, float or str
+    ``typ``: run-config lines and ``.fmw`` header lines alike. Raises
+    ValueError for text that is not a ``typ``, NaN included."""
     value = typ(text)
     if typ is float and math.isnan(value):
         raise ValueError(f"not a number: {text!r}")
@@ -169,47 +173,40 @@ def _init_sublayer(rng, param, pre, norm, mlp, width, d, e):
 
 
 class FlowMatModel:
-    """Holds the learnable parameters its task runs, and the forward passes."""
+    """Holds the learnable parameters its task runs, and the forward passes.
+    The config's class sets the task: a ``FeedbackConfig`` builds the
+    encoder-decoder, an ``EstimationConfig`` the denoiser and decoder."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: FeedbackConfig | EstimationConfig):
         self.cfg = cfg
+        self.estimation = isinstance(cfg, EstimationConfig)
         self.metadata: dict = {}
         rng = np.random.default_rng(cfg.seed)
         p: dict[str, Tensor] = {}
 
-        def param(name, array, trainable=True):
-            p[name] = Tensor(array, requires_grad=trainable)
+        def param(name, array):
+            p[name] = Tensor(array, requires_grad=True)
 
         d, n, dt = cfg.d_model, cfg.n_tokens, cfg.token_dim
         e = cfg.mlp_expansion
 
         param("in_proj", _linear_init(rng, dt, d))
         param("pos", rng.standard_normal((n, d)) * 0.02)
-        if cfg.n_pilot_tokens == 0:  # only feedback encodes and compresses
+        if not self.estimation:  # only feedback encodes and compresses
             for i in range(cfg.encoder_depth):
                 self._init_block(rng, param, f"enc{i}", d, e)
             param("enc_out", _linear_init(rng, d, d))
-
-            param("query", rng.standard_normal(n) * 0.02,
-                  trainable=cfg.learnable_query)
-            if cfg.token_reduction == "mlp":
-                param("reduce", _linear_init(rng, cfg.keep_count, n))
-                param("expand", _linear_init(rng, n, cfg.keep_count))
-
+            param("query", rng.standard_normal(n) * 0.02)
             param("latent_down", _linear_init(rng, d, cfg.d_latent))
             param("latent_up", _linear_init(rng, cfg.d_latent, d))
 
-        mask_tok = (np.zeros(d) if cfg.mask_token_init == "zero"
-                    else rng.standard_normal(d))
-        param("mask_token", mask_tok, trainable=cfg.mask_token_trainable)
-
+        param("mask_token", np.zeros(d))
         param("dec_in", _linear_init(rng, d, d))
         for i in range(cfg.decoder_depth):
             self._init_block(rng, param, f"dec{i}", d, e)
-        if not cfg.share_projections:
-            param("out_proj", _linear_init(rng, d, dt))
+        param("out_proj", _linear_init(rng, d, dt))
 
-        if cfg.n_pilot_tokens > 0:
+        if self.estimation:
             np_, ed = cfg.n_pilot_tokens, cfg.denoiser_expansion
             for i in range(cfg.denoiser_blocks):
                 pre = f"mix{i}"
@@ -246,26 +243,16 @@ class FlowMatModel:
         for name, t in self.params.items():
             if any(name.startswith(pf) for pf in prefixes):
                 hit = True
-                if name == "mask_token" and not self.cfg.mask_token_trainable:
-                    continue
-                if name == "query" and not self.cfg.learnable_query:
-                    continue
                 t.requires_grad = trainable
         if not hit:
             raise KeyError(f"no parameters match {prefixes}")
 
     def kept_indices(self) -> np.ndarray | None:
-        """Deployment-time kept set: a deterministic artifact of the query
-        (or of the merge grouping); model metadata, never in the payload."""
-        cfg = self.cfg
-        if cfg.n_pilot_tokens > 0:  # estimation keeps the pilot positions
+        """Deployment-time kept set: a deterministic artifact of the query;
+        model metadata, never in the payload."""
+        if self.estimation:  # estimation keeps the pilot positions
             return None
-        if cfg.token_reduction == "query":
-            return ad.top_rows(self.params["query"].data, cfg.keep_count)
-        if cfg.token_reduction == "merge":
-            size = cfg.n_tokens // cfg.keep_count
-            return np.arange(cfg.keep_count) * size + size // 2
-        return None  # mlp reduction has no kept set
+        return ad.top_rows(self.params["query"].data, self.cfg.keep_count)
 
     # -- attention machinery ----------------------------------------------
 
@@ -311,7 +298,7 @@ class FlowMatModel:
         mask-attention block (no mask bias when ``kept`` is None), then the
         output projection."""
         cfg, p = self.cfg, self.params
-        if cfg.n_pilot_tokens > 0:
+        if self.estimation:
             raise ValueError("the estimation network has no encoder")
         if tokens.data.shape[-1] != cfg.token_dim:
             raise ValueError("token width does not match the config")
@@ -337,9 +324,7 @@ class FlowMatModel:
         y = self._block("dec0", y, bias)
         for i in range(1, cfg.decoder_depth):
             y = self._block(f"dec{i}", y)
-        out_w = (ad.transpose(p["in_proj"]) if cfg.share_projections
-                 else p["out_proj"])
-        return ad.matmul(y, out_w)
+        return ad.matmul(y, p["out_proj"])
 
     # -- pilot denoiser ------------------------------------------------------
 
@@ -348,8 +333,8 @@ class FlowMatModel:
         residuals, plus a zero-initialized global output projection so the
         untrained denoiser is exactly the identity."""
         cfg, p = self.cfg, self.params
-        if cfg.n_pilot_tokens == 0:
-            raise ValueError("model was built without a denoiser")
+        if not self.estimation:
+            raise ValueError("the feedback network has no denoiser")
         if pilot_tokens.data.shape[-2] != cfg.n_pilot_tokens:
             raise ValueError("pilot token count does not match the config")
         x0 = pilot_tokens
@@ -372,19 +357,8 @@ class FlowMatModel:
         VQ assignment indices for auxiliary losses.
         """
         cfg, p = self.cfg, self.params
-        kept = self.kept_indices()
-        z = self.encode(tokens, kept=kept)
-        if cfg.token_reduction == "query":
-            z_part, kept = ad.select_active(z, p["query"], cfg.keep_count)
-        elif cfg.token_reduction == "mlp":
-            z_part = ad.matmul(p["reduce"], z)
-        else:  # merge: contiguous group averaging
-            size = cfg.n_tokens // cfg.keep_count
-            merge = np.zeros((cfg.keep_count, cfg.n_tokens))
-            for g in range(cfg.keep_count):
-                merge[g, g * size:(g + 1) * size] = 1.0 / size
-            z_part = ad.matmul(Tensor(merge), z)
-
+        z = self.encode(tokens, kept=self.kept_indices())
+        z_part, kept = ad.select_active(z, p["query"], cfg.keep_count)
         lat = ad.matmul(z_part, p["latent_down"])
         if aux is not None:
             aux["latent"] = lat
@@ -402,13 +376,8 @@ class FlowMatModel:
             raise ValueError("quantizer must be a spec, codebook, or None")
 
         up = ad.matmul(lat, p["latent_up"])
-        if cfg.token_reduction == "mlp":
-            y3 = ad.matmul(p["expand"], up)
-            rec = self.decode(y3, kept=None)
-        else:
-            y3 = ad.insert_rows(up, kept, cfg.n_tokens, p["mask_token"])
-            rec = self.decode(y3, kept=kept)
-        return rec, payload, kept
+        y3 = ad.insert_rows(up, kept, cfg.n_tokens, p["mask_token"])
+        return self.decode(y3, kept=kept), payload, kept
 
     def estimate_forward(self, pilot_tokens: Tensor, pilot_positions):
         """Denoise pilots, project and place them at their subcarriers with
@@ -472,17 +441,21 @@ class FlowMatModel:
         (blen,) = take("<I")
         (block,) = take(f"<{blen}s")
         cfg_kwargs, metadata = {}, {}
-        field_types = typing.get_type_hints(ModelConfig)
         try:
-            for line in block.decode().splitlines():
-                key, _, value = line.partition("=")
+            lines = [line.partition("=")[::2]
+                     for line in block.decode().splitlines()]
+            # only an estimation network's header has an n_pilot_tokens line
+            config_cls = (EstimationConfig if "n_pilot_tokens" in dict(lines)
+                          else FeedbackConfig)
+            field_types = typing.get_type_hints(config_cls)
+            for key, value in lines:
                 if key.startswith("meta."):
                     metadata[key[5:]] = parse_value(value, float)
                 elif key in field_types:
                     cfg_kwargs[key] = parse_value(value, field_types[key])
                 else:
                     raise ValueError(f"unknown key {key!r}")
-            model = cls(ModelConfig(**cfg_kwargs))
+            model = cls(config_cls(**cfg_kwargs))
         except (ValueError, TypeError) as exc:  # TypeError: a missing key
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         model.metadata = metadata

@@ -38,7 +38,6 @@ class TrainConfig:
     steps: int = 1000             # steps per phase
     batch_size: int = 16
     lr: float = 1e-3
-    lr_schedule: str = "cosine"   # cosine | constant
     seed: int = 0
     snr_db_min: float = 10.0
     snr_db_max: float = 10.0
@@ -51,8 +50,6 @@ class TrainConfig:
                              "positive")
         if self.loss_mode not in ("canonical", "paper_literal"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, not {self.lr}")
         snrs = (self.snr_db_min, self.snr_db_max)
@@ -177,9 +174,8 @@ def differentiable_precoders(tokens: Tensor, n_rx: int, n_tx: int,
 
 
 def _step_lr(cfg: TrainConfig, step: int, total: int) -> float:
-    if cfg.lr_schedule == "cosine":
-        return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
-    return cfg.lr
+    """Cosine decay from ``cfg.lr`` at step 0 towards 0 at ``total``."""
+    return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
 
 
 def _estimation_batch(channels, geom: SystemGeometry, idx, cfg: TrainConfig,

@@ -20,8 +20,8 @@ from flowmat.channel import (MultipathProfile, SystemGeometry,
 from flowmat.dataio import FormatError, KIND_EIGEN, read_records, \
     write_records
 from flowmat.linalg import hermitian_top_eigpair
-from flowmat.model import (FlowMatModel, ModelConfig, build_mask_bias,
-                           tokenize_channel, tokenize_eigen)
+from flowmat.model import (EstimationConfig, FeedbackConfig, FlowMatModel,
+                           build_mask_bias, tokenize_channel, tokenize_eigen)
 from flowmat.quantizer import (UniformQuantizerSpec, make_codebook,
                                payload_bits, uniform_dequantize,
                                uniform_quantize, vq_assign)
@@ -81,9 +81,10 @@ def test_criterion_01_gradient_suite():
             rng.standard_normal((3, 4)))))
 
     # full feedback loss graph on a tiny config (N <= 8, d_model <= 16)
-    fb = FlowMatModel(ModelConfig(n_tokens=4, token_dim=4, d_model=8,
-                                  n_heads=2, encoder_depth=2, decoder_depth=2,
-                                  d_latent=2, keep_count=2, seed=0))
+    fb = FlowMatModel(FeedbackConfig(n_tokens=4, token_dim=4, d_model=8,
+                                     n_heads=2, encoder_depth=2,
+                                     decoder_depth=2, d_latent=2,
+                                     keep_count=2, seed=0))
     w_true = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     w_true /= np.linalg.norm(w_true, axis=1, keepdims=True)
     target = tokenize_eigen(w_true)
@@ -111,10 +112,9 @@ def test_criterion_01_gradient_suite():
             param_loss, Tensor(orig.data.copy())))
 
     # full estimation loss graph
-    est = FlowMatModel(ModelConfig(n_tokens=8, token_dim=4, d_model=16,
-                                   n_heads=2, encoder_depth=2,
-                                   decoder_depth=1, d_latent=2, keep_count=4,
-                                   n_pilot_tokens=4, seed=0))
+    est = FlowMatModel(EstimationConfig(n_tokens=8, token_dim=4, d_model=16,
+                                        n_heads=2, decoder_depth=1,
+                                        n_pilot_tokens=4, seed=0))
     geom = SystemGeometry(n_tx=2, n_rx=1, n_sub=8, n_subband=2,
                           pilot_pattern=every_kth_pattern(8, 2))
     h = generate_channel(geom, MultipathProfile(seed=1))
@@ -185,9 +185,9 @@ def test_criterion_03_ls_noise_law():
 
 
 def test_criterion_04_mask_correctness():
-    cfg = ModelConfig(n_tokens=6, token_dim=8, d_model=16, n_heads=2,
-                      encoder_depth=1, decoder_depth=1, d_latent=2,
-                      keep_count=3, mask_mode="hard", seed=0)
+    cfg = FeedbackConfig(n_tokens=6, token_dim=8, d_model=16, n_heads=2,
+                         encoder_depth=1, decoder_depth=1, d_latent=2,
+                         keep_count=3, mask_mode="hard", seed=0)
     model = FlowMatModel(cfg)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 16))
@@ -286,10 +286,10 @@ def test_criterion_07a_feedback_overfit():
                           pilot_pattern=every_kth_pattern(32, 2))
     channels = generate_batch(geom, MultipathProfile(seed=0), 32)
     eigens = [compute_precoders(h, geom) for h in channels]
-    model = FlowMatModel(ModelConfig(n_tokens=8, token_dim=16, d_model=32,
-                                     n_heads=4, encoder_depth=3,
-                                     decoder_depth=3, d_latent=8,
-                                     keep_count=4, seed=0))  # m = N/2
+    model = FlowMatModel(FeedbackConfig(n_tokens=8, token_dim=16, d_model=32,
+                                        n_heads=4, encoder_depth=3,
+                                        decoder_depth=3, d_latent=8,
+                                        keep_count=4, seed=0))  # m = N/2
     train_feedback(model, eigens,
                    TrainConfig(steps=1500, batch_size=32, lr=2e-3, seed=0))
     train_rho = eh.eval_feedback(model, eigens)
@@ -306,10 +306,10 @@ def test_criterion_07b_estimation_beats_ls():
     channels = [generate_channel(geom, MultipathProfile(2, 3e-7, seed=i))
                 for i in range(96)]
     train, held_out = channels[:64], channels[64:]
-    model = FlowMatModel(ModelConfig(n_tokens=16, token_dim=16, d_model=32,
-                                     n_heads=4, encoder_depth=3,
-                                     decoder_depth=1, d_latent=4,
-                                     keep_count=8, n_pilot_tokens=8, seed=0))
+    model = FlowMatModel(EstimationConfig(n_tokens=16, token_dim=16,
+                                          d_model=32, n_heads=4,
+                                          decoder_depth=1, n_pilot_tokens=8,
+                                          seed=0))
     train_progressive(model, train, geom,
                       TrainConfig(steps=2000, batch_size=32, lr=1e-3, seed=0,
                                   snr_db_min=10.0, snr_db_max=10.0))

@@ -12,7 +12,7 @@ from flowmat.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,
                          EXIT_DIVERGENCE, EXIT_OK, main)
 from flowmat.dataio import read_records
 from flowmat.linalg import ConvergenceError
-from flowmat.model import FlowMatModel, ModelConfig
+from flowmat.model import EstimationConfig, FeedbackConfig, FlowMatModel
 
 
 SMOKE = """
@@ -44,17 +44,14 @@ def smoke_cfg(tmp_path):
 
 def feedback_model(cfg_path):
     cfg = eh.parse_config(cfg_path)
-    return FlowMatModel(eh._from_cfg(ModelConfig, cfg,
-                                     n_tokens=cfg["n_subband"],
-                                     token_dim=2 * cfg["n_tx"]))
+    return FlowMatModel(eh._from_cfg(FeedbackConfig, cfg,
+                                     **eh._token_shape(cfg, False)))
 
 
 def estimation_model(cfg_path):
     cfg = eh.parse_config(cfg_path)
-    shape = eh._token_shape(cfg, True)
-    return FlowMatModel(eh._from_cfg(ModelConfig, cfg, **shape,
-                                     keep_count=shape["n_pilot_tokens"],
-                                     token_reduction="query"))
+    return FlowMatModel(eh._from_cfg(EstimationConfig, cfg,
+                                     **eh._token_shape(cfg, True)))
 
 
 class TestGenData:
@@ -135,7 +132,13 @@ class TestExitCodes:
         assert not out_dir.exists()  # rejected before any work
 
     @pytest.mark.parametrize("setting", [
-        "lr_schedule = cosin", "quantizer = float",
+        # a setting deleted from the config schema is an unknown key
+        "lr_schedule = cosin",
+        "quantizer = float", "finetune_steps = -5",
+        # lists with no value
+        "budgets = ,",
+        pytest.param("task = estimate\neval_snrs_db = ,",
+                     id="estimate with eval_snrs_db = ,"),
         # 16 bits cannot hold one truncated subband of 8 antennas (32 bits)
         pytest.param("n_tx = 8\nbudgets = 16", id="budgets = 16"),
         "budgets = 64,abc",
@@ -262,8 +265,13 @@ class TestTrainEval:
     @pytest.mark.parametrize("old,new", [
         (b"d_model=8", b"d_model=x"),        # malformed value
         (b"d_model=8", b"d_modex=8"),        # unknown key
-        (b"keep_count=4", b"keep_count=9"),  # values ModelConfig rejects
+        (b"keep_count=4", b"keep_count=9"),  # values FeedbackConfig rejects
         (b"n_heads=2", b"n_heads=0"),
+        pytest.param(b"d_model=8\n", b"d_model=8\nlearnable_query=True\n",
+                     id="deleted setting"),
+        # n_pilot_tokens makes it an estimation header with encoder keys
+        pytest.param(b"d_model=8\n", b"d_model=8\nn_pilot_tokens=4\n",
+                     id="keys of both networks"),
     ])
     def test_eval_bad_checkpoint_header_exits_3(self, smoke_cfg, tmp_path,
                                                  capsys, old, new):
@@ -278,6 +286,20 @@ class TestTrainEval:
                      "--checkpoint", str(ckpt)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "checkpoint header" in err and "Traceback" not in err
+
+    def test_eval_estimation_header_with_feedback_key_exits_3(
+            self, smoke_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "estimate.fmw"
+        estimation_model(smoke_cfg).save(ckpt)
+        raw = ckpt.read_bytes()
+        body = raw[8:-4].replace(b"d_model=8\n",
+                                 b"d_model=8\nkeep_count=4\n", 1)
+        assert body != raw[8:-4]
+        ckpt.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["eval", "--config", str(smoke_cfg),
+                     "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "unknown key 'keep_count'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("end", [0, -100])
     def test_eval_truncated_checkpoint_exits_3(self, smoke_cfg, tmp_path,

@@ -17,8 +17,8 @@ from flowmat.evalharness import (ConfigError, DEFAULTS, EvalResult,
 from flowmat.channel import (PilotObservation, compute_precoders,
                              interpolate_frequency, ls_estimate,
                              observe_pilots)
-from flowmat.model import (FlowMatModel, ModelConfig, estimate_pipeline,
-                           feedback_pipeline)
+from flowmat.model import (EstimationConfig, FeedbackConfig, FlowMatModel,
+                           estimate_pipeline, feedback_pipeline)
 
 
 def unit_rows(rng, shape):
@@ -203,10 +203,9 @@ class TestBatchedEval:
                    decoder_depth=1, d_latent=2, keep_count=2, seed=4)
         geom, channels, eigens, _ = make_dataset(cfg)
         n_pilots = geom.pilot_pattern.n_pilots
-        est = FlowMatModel(eh._from_cfg(
-            ModelConfig, cfg, n_tokens=8, token_dim=8, keep_count=n_pilots,
-            n_pilot_tokens=n_pilots, token_reduction="query"))
-        fb = FlowMatModel(eh._from_cfg(ModelConfig, cfg, n_tokens=4,
+        est = FlowMatModel(eh._from_cfg(EstimationConfig, cfg, n_tokens=8,
+                                        token_dim=8, n_pilot_tokens=n_pilots))
+        fb = FlowMatModel(eh._from_cfg(FeedbackConfig, cfg, n_tokens=4,
                                        token_dim=4))
         rng = np.random.default_rng(9)
         for model in (est, fb):  # move every parameter off its init
@@ -240,12 +239,12 @@ class TestConfigParsing:
     def test_defaults_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nn_tx = 4\nlr = 0.01\ntask=estimate\n"
-                        "mask_token_trainable = false\n")
+                        "mask_mode = paper_literal\n")
         cfg = parse_config(path)
         assert cfg["n_tx"] == 4 and isinstance(cfg["n_tx"], int)
         assert cfg["lr"] == 0.01
         assert cfg["task"] == "estimate"
-        assert cfg["mask_token_trainable"] is False
+        assert cfg["mask_mode"] == "paper_literal"
         assert cfg["n_rx"] == DEFAULTS["n_rx"]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -259,7 +258,7 @@ class TestConfigParsing:
         path.write_text("n_tx=eight\n")
         with pytest.raises(ConfigError):
             parse_config(path)
-        path.write_text("mask_token_trainable=maybe\n")
+        path.write_text("lr=fast\n")
         with pytest.raises(ConfigError):
             parse_config(path)
 
@@ -272,10 +271,10 @@ class TestConfigParsing:
     def test_defaults_pinned(self):
         # every run's config_hash covers the defaults: their keys, values
         # and types must not move when a dataclass default is refactored
-        assert len(DEFAULTS) == 43
-        assert config_hash(DEFAULTS) == "455ce7304a04"
+        assert len(DEFAULTS) == 37
+        assert config_hash(DEFAULTS) == "6f2823068f25"
         assert config_hash({k: type(v).__name__
-                            for k, v in DEFAULTS.items()}) == "787dbbcd9dc4"
+                            for k, v in DEFAULTS.items()}) == "9022bacd04a1"
 
     def test_config_hash_stable_and_sensitive(self):
         cfg = dict(DEFAULTS)

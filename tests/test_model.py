@@ -1,7 +1,7 @@
 """Masked-token transformer: tokenization, mask biases, attention semantics,
 checkpoint I/O and the forward-pass contracts."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from flowmat.channel import (MultipathProfile, PilotObservation,
                              SystemGeometry, every_kth_pattern,
                              generate_channel, observe_pilots)
 from flowmat.dataio import FormatError
-from flowmat.model import (FlowMatModel, HARD_BIAS, ModelConfig,
-                           build_decoder_bias, build_mask_bias,
+from flowmat.model import (EstimationConfig, FeedbackConfig, FlowMatModel,
+                           HARD_BIAS, build_decoder_bias, build_mask_bias,
                            detokenize_channel, detokenize_eigen,
                            estimate_pipeline, feedback_pipeline,
                            tokenize_channel, tokenize_eigen)
@@ -25,7 +25,7 @@ def tiny_config(**kw):
                 encoder_depth=2, decoder_depth=2, d_latent=2, keep_count=3,
                 seed=0)
     base.update(kw)
-    return ModelConfig(**base)
+    return FeedbackConfig(**base)
 
 
 class TestTokenization:
@@ -174,40 +174,18 @@ class TestModelConstruction:
             tiny_config(keep_count=7)
         with pytest.raises(ValueError):
             tiny_config(mask_mode="fuzzy")
-        with pytest.raises(ValueError):
-            tiny_config(token_reduction="merge", keep_count=4)
-
-    def test_mask_token_init_modes(self):
-        zero = FlowMatModel(tiny_config(mask_token_init="zero"))
-        assert np.all(zero.params["mask_token"].data == 0.0)
-        randn = FlowMatModel(tiny_config(mask_token_init="randn"))
-        assert not np.all(randn.params["mask_token"].data == 0.0)
-
-    def test_untrainable_flags_respected(self):
-        model = FlowMatModel(tiny_config(mask_token_trainable=False,
-                                         learnable_query=False))
-        trainable = {id(t) for t in model.parameters()}
-        assert id(model.params["mask_token"]) not in trainable
-        assert id(model.params["query"]) not in trainable
-        # set_trainable must not resurrect them
-        model.set_trainable(["mask_token", "query"], True)
-        assert not model.params["mask_token"].requires_grad
-        assert not model.params["query"].requires_grad
 
     def test_set_trainable_unknown_prefix(self):
         with pytest.raises(KeyError):
             FlowMatModel(tiny_config()).set_trainable(["nonexistent"], False)
 
-    def test_kept_indices_per_reduction(self):
-        q = FlowMatModel(tiny_config(token_reduction="query"))
-        kept = q.kept_indices()
+    def test_kept_indices_are_top_query_rows(self):
+        model = FlowMatModel(tiny_config())
+        kept = model.kept_indices()
         assert kept.shape == (3,)
         assert np.all(np.diff(kept) > 0)
-        merge = FlowMatModel(tiny_config(token_reduction="merge",
-                                         keep_count=3))
-        np.testing.assert_array_equal(merge.kept_indices(), [1, 3, 5])
-        mlp = FlowMatModel(tiny_config(token_reduction="mlp"))
-        assert mlp.kept_indices() is None
+        query = model.params["query"].data
+        assert query[kept].min() > np.delete(query, kept).max()
 
 
 class TestFeedbackForward:
@@ -228,21 +206,6 @@ class TestFeedbackForward:
             rec_i, _, _ = model.feedback_forward(Tensor(batch[i]))
             np.testing.assert_allclose(rec_b.data[i], rec_i.data, atol=1e-12)
 
-    @pytest.mark.parametrize("reduction", ["query", "mlp", "merge"])
-    def test_token_reduction_modes_run(self, reduction):
-        model = FlowMatModel(tiny_config(token_reduction=reduction,
-                                         keep_count=3))
-        tokens = Tensor(np.random.default_rng(10).standard_normal((6, 8)))
-        rec, _, _ = model.feedback_forward(tokens)
-        assert rec.data.shape == (6, 8)
-
-    def test_share_projections_reuses_input_weights(self):
-        model = FlowMatModel(tiny_config(share_projections=True))
-        assert "out_proj" not in model.params
-        tokens = Tensor(np.random.default_rng(11).standard_normal((6, 8)))
-        rec, _, _ = model.feedback_forward(tokens)
-        assert rec.data.shape == (6, 8)
-
     def test_token_shape_validation(self):
         model = FlowMatModel(tiny_config())
         with pytest.raises(ValueError):
@@ -253,9 +216,15 @@ class TestFeedbackForward:
 
 class TestDenoiserAndEstimation:
     def est_config(self):
-        return ModelConfig(n_tokens=8, token_dim=4, d_model=16, n_heads=2,
-                           encoder_depth=2, decoder_depth=2, d_latent=2,
-                           keep_count=4, n_pilot_tokens=4, seed=0)
+        return EstimationConfig(n_tokens=8, token_dim=4, d_model=16,
+                                n_heads=2, decoder_depth=2, n_pilot_tokens=4,
+                                seed=0)
+
+    @pytest.mark.parametrize("n_pilot_tokens", [-1, 0, 9])
+    def test_pilot_count_outside_token_count_rejected(self, n_pilot_tokens):
+        with pytest.raises(ValueError, match="n_pilot_tokens"):
+            EstimationConfig(n_tokens=8, token_dim=4, d_model=16, n_heads=2,
+                             n_pilot_tokens=n_pilot_tokens)
 
     def test_denoiser_is_identity_at_init(self):
         model = FlowMatModel(self.est_config())
@@ -275,18 +244,17 @@ class TestDenoiserAndEstimation:
         assert den.data.shape == (4, 4)
         assert rec.data.shape == (8, 4)
 
-    @pytest.mark.parametrize("reduction", ["query", "mlp", "merge"])
-    def test_holds_only_the_denoiser_and_decoder(self, tmp_path, reduction):
-        model = FlowMatModel(replace(self.est_config(),
-                                     token_reduction=reduction))
+    def test_holds_only_the_denoiser_and_decoder(self, tmp_path):
+        model = FlowMatModel(self.est_config())
         assert not [name for name in model.params if name.startswith(
-            ("enc", "query", "latent_", "reduce", "expand"))]
+            ("enc", "query", "latent_"))]
         assert model.kept_indices() is None
         with pytest.raises(ValueError):
             model.encode(Tensor(np.zeros((8, 4))))
         path = tmp_path / "est.fmw"
         model.save(path)
         back = FlowMatModel.load(path)
+        assert back.cfg == model.cfg and back.estimation
         assert sorted(back.params) == sorted(model.params)
         for name, t in model.params.items():
             np.testing.assert_array_equal(back.params[name].data, t.data)
@@ -382,26 +350,26 @@ class TestCheckpointIO:
                                           model.params[name].data)
 
     def test_round_trip_non_default_settings(self, tmp_path):
-        # every int, bool and str field away from its default, so a header
-        # value parsed as the wrong type or read back as the default shows
-        cfg = ModelConfig(
-            n_tokens=8, token_dim=4, d_model=12, n_heads=3, encoder_depth=1,
-            decoder_depth=2, d_latent=3, keep_count=2, mask_mode="paper_literal",
-            mask_token_init="randn", mask_token_trainable=False,
-            learnable_query=False, share_projections=True, mlp_expansion=3,
-            denoiser_blocks=1, denoiser_expansion=3, n_pilot_tokens=2,
-            token_reduction="mlp", seed=7)
-        defaults = ModelConfig(n_tokens=1, token_dim=1, keep_count=1)
-        changed = {f.name for f in fields(ModelConfig)
-                   if getattr(cfg, f.name) != getattr(defaults, f.name)}
-        assert changed == {f.name for f in fields(ModelConfig)}
-        assert {type(getattr(cfg, n)) for n in changed} == {int, bool, str}
-        path = tmp_path / "model.fmw"
-        FlowMatModel(cfg).save(path)
-        back = FlowMatModel.load(path)
-        assert back.cfg == cfg
-        for name in changed:
-            assert type(getattr(back.cfg, name)) is type(getattr(cfg, name))
+        # each network's config with every field away from its default, so
+        # a header value parsed as the wrong type, read back as the
+        # default or into the other network's config shows
+        shared = dict(n_tokens=8, token_dim=4, d_model=12, n_heads=3,
+                      decoder_depth=2, mask_mode="paper_literal",
+                      mlp_expansion=3, seed=7)
+        for cfg in (FeedbackConfig(**shared, encoder_depth=1, d_latent=3,
+                                   keep_count=2),
+                    EstimationConfig(**shared, n_pilot_tokens=2,
+                                     denoiser_blocks=1, denoiser_expansion=3)):
+            assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
+            types = {type(getattr(cfg, f.name)) for f in fields(cfg)}
+            assert types == {int, str}
+            path = tmp_path / "model.fmw"
+            FlowMatModel(cfg).save(path)
+            back = FlowMatModel.load(path)
+            assert type(back.cfg) is type(cfg) and back.cfg == cfg
+            for f in fields(cfg):
+                assert (type(getattr(back.cfg, f.name))
+                        is type(getattr(cfg, f.name)))
 
     def test_rewrite_bytes_identical(self, tmp_path):
         model = self.make_model()

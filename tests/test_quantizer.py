@@ -187,7 +187,7 @@ class TestVectorQuantizer:
         # only assignments made on a recorded tape count: training steps,
         # not plain assignments or tape-free evaluations
         from flowmat.evalharness import eval_feedback
-        from flowmat.model import FlowMatModel, ModelConfig
+        from flowmat.model import FeedbackConfig, FlowMatModel
         from flowmat.training import TrainConfig, train_feedback
 
         rng = np.random.default_rng(9)
@@ -199,7 +199,7 @@ class TestVectorQuantizer:
                     cb)
         assert cb.usage.sum() == 10
 
-        model = FlowMatModel(ModelConfig(
+        model = FlowMatModel(FeedbackConfig(
             n_tokens=4, token_dim=6, d_model=8, n_heads=2, encoder_depth=1,
             decoder_depth=1, d_latent=2, keep_count=2))
         w = rng.standard_normal((10, 4, 3)) + 1j * rng.standard_normal(

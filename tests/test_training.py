@@ -12,8 +12,8 @@ from flowmat.autodiff import Tensor
 from flowmat.channel import (MultipathProfile, SystemGeometry,
                              compute_precoders, every_kth_pattern,
                              generate_batch)
-from flowmat.model import FlowMatModel, ModelConfig, tokenize_channel, \
-    tokenize_eigen
+from flowmat.model import EstimationConfig, FeedbackConfig, FlowMatModel, \
+    tokenize_channel, tokenize_eigen
 from flowmat.training import (DivergenceError, TrainConfig, TrainReport,
                               differentiable_precoders, loss_ce, loss_cf,
                               rho_tokens, train_end_to_end, train_feedback,
@@ -26,7 +26,7 @@ def fb_config(**kw):
                 encoder_depth=2, decoder_depth=2, d_latent=2, keep_count=2,
                 seed=0)
     base.update(kw)
-    return ModelConfig(**base)
+    return FeedbackConfig(**base)
 
 
 def small_geom():
@@ -214,16 +214,12 @@ class TestGuardAndConfig:
         with pytest.raises(ValueError):
             TrainConfig(loss_mode="other")
         with pytest.raises(ValueError):
-            TrainConfig(lr_schedule="cosin")
-        with pytest.raises(ValueError):
             TrainConfig(eig_iterations=0)
 
     def test_cosine_schedule_decays_to_zero(self):
-        cfg = TrainConfig(lr=1e-3, lr_schedule="cosine")
+        cfg = TrainConfig(lr=1e-3)
         assert tr._step_lr(cfg, 0, 100) == 1e-3
         assert tr._step_lr(cfg, 100, 100) < 1e-9
-        flat = TrainConfig(lr=1e-3, lr_schedule="constant")
-        assert tr._step_lr(flat, 50, 100) == 1e-3
 
     def test_report_csv_is_byte_deterministic(self, tmp_path):
         rep = TrainReport(losses=[0.5, 0.25], phases=[1, 1])
@@ -284,10 +280,9 @@ class TestFeedbackTraining:
         # unbounded reconstruction loss of the estimation task
         geom = SystemGeometry(n_tx=2, n_rx=1, n_sub=8, n_subband=2,
                               pilot_pattern=every_kth_pattern(8, 2))
-        model = FlowMatModel(ModelConfig(
-            n_tokens=8, token_dim=4, d_model=8, n_heads=2, encoder_depth=2,
-            decoder_depth=1, d_latent=2, keep_count=4, n_pilot_tokens=4,
-            seed=0))
+        model = FlowMatModel(EstimationConfig(
+            n_tokens=8, token_dim=4, d_model=8, n_heads=2, decoder_depth=1,
+            n_pilot_tokens=4, seed=0))
         channels = generate_batch(geom, MultipathProfile(seed=13), 4)
         monkeypatch.setattr(tr, "DIVERGENCE_PATIENCE", 5)
         with pytest.raises(DivergenceError):
@@ -298,10 +293,9 @@ class TestFeedbackTraining:
 
 class TestEstimationTraining:
     def est_model(self):
-        return FlowMatModel(ModelConfig(
-            n_tokens=8, token_dim=4, d_model=8, n_heads=2, encoder_depth=2,
-            decoder_depth=1, d_latent=2, keep_count=4, n_pilot_tokens=4,
-            seed=0))
+        return FlowMatModel(EstimationConfig(
+            n_tokens=8, token_dim=4, d_model=8, n_heads=2, decoder_depth=1,
+            n_pilot_tokens=4, seed=0))
 
     def channels(self, geom, n=6):
         return generate_batch(geom, MultipathProfile(seed=12), n)
@@ -405,10 +399,10 @@ class TestEstimationTraining:
     def test_end_to_end_regime_runs(self):
         geom = small_geom()
         est = self.est_model()
-        fb = FlowMatModel(ModelConfig(n_tokens=2, token_dim=4, d_model=8,
-                                      n_heads=2, encoder_depth=1,
-                                      decoder_depth=1, d_latent=2,
-                                      keep_count=1, seed=1))
+        fb = FlowMatModel(FeedbackConfig(n_tokens=2, token_dim=4, d_model=8,
+                                         n_heads=2, encoder_depth=1,
+                                         decoder_depth=1, d_latent=2,
+                                         keep_count=1, seed=1))
         channels = self.channels(geom, 4)
         eigens = [compute_precoders(h, geom) for h in channels]
         rep = train_end_to_end(est, fb, channels, eigens, geom,
@@ -420,10 +414,10 @@ class TestEstimationTraining:
     def test_splited_regime_returns_both_reports(self):
         geom = small_geom()
         est = self.est_model()
-        fb = FlowMatModel(ModelConfig(n_tokens=2, token_dim=4, d_model=8,
-                                      n_heads=2, encoder_depth=1,
-                                      decoder_depth=1, d_latent=2,
-                                      keep_count=1, seed=1))
+        fb = FlowMatModel(FeedbackConfig(n_tokens=2, token_dim=4, d_model=8,
+                                         n_heads=2, encoder_depth=1,
+                                         decoder_depth=1, d_latent=2,
+                                         keep_count=1, seed=1))
         channels = self.channels(geom, 4)
         eigens = [compute_precoders(h, geom) for h in channels]
         est_rep, fb_rep = train_splited(est, fb, channels, eigens, geom,
@@ -471,14 +465,13 @@ class TestGraphSize:
 
     def test_end_to_end_step(self, monkeypatch):
         geom = two_rx_geom()
-        est = FlowMatModel(ModelConfig(
-            n_tokens=8, token_dim=12, d_model=8, n_heads=4, encoder_depth=1,
-            decoder_depth=1, d_latent=2, keep_count=4, n_pilot_tokens=4,
-            seed=0))
-        fb = FlowMatModel(ModelConfig(n_tokens=4, token_dim=6, d_model=8,
-                                      n_heads=4, encoder_depth=1,
-                                      decoder_depth=1, d_latent=2,
-                                      keep_count=2, seed=1))
+        est = FlowMatModel(EstimationConfig(
+            n_tokens=8, token_dim=12, d_model=8, n_heads=4, decoder_depth=1,
+            n_pilot_tokens=4, seed=0))
+        fb = FlowMatModel(FeedbackConfig(n_tokens=4, token_dim=6, d_model=8,
+                                         n_heads=4, encoder_depth=1,
+                                         decoder_depth=1, d_latent=2,
+                                         keep_count=2, seed=1))
         channels = generate_batch(geom, MultipathProfile(seed=12), 4)
         eigens = [compute_precoders(h, geom) for h in channels]
         nodes = self.step_nodes(monkeypatch, lambda: train_end_to_end(

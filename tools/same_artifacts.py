@@ -12,14 +12,19 @@ times. The script prints each tree's ``setup_s`` and ``peak_rss_mb`` per
 workload, read from the skipped ``session.json``, so one command shows the
 byte identity, the startup and the memory change. It then prints the files
 that differ or exist in one tree only, and exits 1 if there are any, else
-0; a session with a failed step stops it with exit 1. It writes only to a
-temporary directory. The six sessions take about 30 s on a 2-CPU machine.
+0; a session with a failed step stops it with exit 1. Under each file that
+differs it says what moved: for a text file the lines found in one tree
+only, at most 10 per side; for a ``.fmw`` checkpoint the header lines found
+in one tree only, and whether the parameter body after the header is
+byte-identical. It writes only to a temporary directory. The six sessions
+take about 30 s on a 2-CPU machine.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -29,6 +34,7 @@ WORKLOADS = ("feedback", "estimation", "joint")
 SEED = "5"
 SKIPPED = {"session.json"}
 MANIFEST_TIMES = ("started", "finished")
+SHOWN = 10  # lines listed per tree for a file that differs
 
 
 def run_sessions(tree: Path, out: Path) -> dict:
@@ -59,7 +65,7 @@ def artifact(path: Path) -> bytes:
     manifest = json.loads(raw)
     for key in MANIFEST_TIMES:
         manifest.pop(key, None)
-    return json.dumps(manifest, sort_keys=True).encode()
+    return json.dumps(manifest, indent=2, sort_keys=True).encode()
 
 
 def compare(a: Path, b: Path):
@@ -74,6 +80,46 @@ def compare(a: Path, b: Path):
     return sorted(map(str, differ | (in_a ^ in_b))), len(in_a | in_b)
 
 
+def one_tree_only(lines_a, lines_b) -> list:
+    """The lines of each side that the other side lacks, at most ``SHOWN``
+    per side, as printable lines."""
+    out = []
+    for side, lines, other in (("parent", lines_a, lines_b),
+                               ("change", lines_b, lines_a)):
+        others = set(other)
+        only = [line for line in lines if line not in others]
+        out += [f"  {side} only: {line}" for line in only[:SHOWN]]
+        if len(only) > SHOWN:
+            out.append(f"  {side} only: ... and {len(only) - SHOWN} more")
+    return out
+
+
+def checkpoint_parts(path: Path):
+    """(header lines, parameter body) of a ``.fmw`` checkpoint: its
+    ``key=value`` block after magic, version and block length, and the
+    bytes from there up to the closing CRC."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 8)
+    return raw[12:12 + length].decode().splitlines(), raw[12 + length:-4]
+
+
+def what_moved(a: Path, b: Path) -> list:
+    """Printable lines saying what differs inside two versions of a file;
+    none for a file in one tree only or a binary file other than a
+    checkpoint."""
+    if not (a.is_file() and b.is_file()):
+        return []
+    if a.suffix == ".fmw":
+        (head_a, body_a), (head_b, body_b) = map(checkpoint_parts, (a, b))
+        body = "byte-identical" if body_a == body_b else "differs"
+        return one_tree_only(head_a, head_b) + [f"  parameter body {body}"]
+    try:
+        text_a, text_b = (artifact(p).decode() for p in (a, b))
+    except UnicodeDecodeError:
+        return []
+    return one_tree_only(text_a.splitlines(), text_b.splitlines())
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_artifacts.py PARENT_TREE CHANGE_TREE",
@@ -85,6 +131,8 @@ def main(argv) -> int:
         parent, change = [run_sessions(tree, out)
                           for tree, out in zip(trees, outs)]
         diff, n_files = compare(*outs)
+        moved = {name: what_moved(*(out / name for out in outs))
+                 for name in diff}
     for workload in WORKLOADS:
         p, c = parent[workload], change[workload]
         print(f"{workload}: setup_s parent {p['setup_s']:.3f}, change "
@@ -92,6 +140,8 @@ def main(argv) -> int:
               f"change {c['peak_rss_mb']:.1f}")
     for name in diff:
         print(f"differs: {name}")
+        for line in moved[name]:
+            print(line)
     print(f"{len(diff)} of {n_files} files differ")
     return 1 if diff else 0
 
