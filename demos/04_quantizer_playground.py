@@ -1,11 +1,13 @@
 """Quantizers up close: uniform scalar vs vector quantization.
 
-The feedback payload is produced by one of two quantizers. The uniform
-scalar quantizer chops a calibrated range into 2^B mid-rise cells and
-spends B bits per latent value. The vector quantizer stores one of K
-learned codewords per latent row and spends log2(K) bits per row. This
-script exercises both on synthetic data and shows the exact wire format
-that would cross the feedback link.
+The feedback payload of a flowmat run is produced by the uniform scalar
+quantizer, which chops a calibrated range into 2^B mid-rise cells and
+spends B bits per latent value. A vector quantizer instead stores the
+index of the nearest of K codewords per latent row and spends log2(K)
+bits per row; flowmat keeps it for assignment and bit accounting only,
+with a random codebook and no training path. This script exercises both
+on synthetic data and shows the exact wire format that would cross the
+feedback link.
 
 Run: python3 demos/04_quantizer_playground.py
 """

@@ -12,7 +12,7 @@ from .model import (EstimationConfig, FeedbackConfig, FlowMatModel,
                     build_mask_bias, estimate_pipeline, feedback_pipeline)
 from .quantizer import (BitPayload, UniformQuantizerSpec, VqCodebook,
                         payload_bits, uniform_dequantize, uniform_quantize,
-                        vq_assign, vq_losses)
+                        vq_assign)
 from .training import (DivergenceError, TrainConfig, TrainReport, loss_ce,
                        loss_cf, train_feedback, train_progressive)
 

@@ -21,8 +21,7 @@ from .model import (EstimationConfig, FeedbackConfig, FlowMatModel,
                     estimate_pipeline, feedback_pipeline, parse_value,
                     tokenize_eigen)
 from .quantizer import (UniformQuantizerSpec, calibrate_uniform_mse,
-                        make_codebook, payload_bits, uniform_dequantize,
-                        uniform_quantize)
+                        uniform_dequantize, uniform_quantize)
 from .training import TrainConfig, train_feedback, train_joint_estimation, \
     train_progressive, train_splited, train_end_to_end
 
@@ -145,9 +144,8 @@ DEFAULTS = {
     "n_samples": 64,
     "train_fraction": 0.95,
     # quantization / evaluation
-    "quantizer": "uniform",        # uniform | vq
+    "quantizer": "uniform",        # the only value; bench configs set it
     "finetune_steps": 1000,        # quantization-aware steps per bit budget
-    "vq_codebook_size": 256,
     "budgets": "64,128,256",
     "eval_snrs_db": "0,10,20",
     **{f.name: f.default
@@ -232,8 +230,8 @@ def check_checkpoint_geometry(model: FlowMatModel, cfg: dict) -> None:
 
 def make_dataset(cfg: dict):
     """Synthesize channels and their eigen-precoder labels, each a list of
-    per-sample arrays; 95/5 split by sample index (first block trains, last
-    block tests)."""
+    per-sample arrays, and the training sample count: the first
+    ``train_fraction`` of the samples train and the rest test."""
     if cfg["n_samples"] < 1:
         raise ConfigError(f"n_samples must be >= 1, not {cfg['n_samples']}")
     geom = _geometry(cfg)
@@ -324,34 +322,36 @@ def _range_keys(budget: int):
 def uniform_budget_spec(model: FlowMatModel, budget: int):
     """The uniform quantizer that ``_budget_quantizer`` calibrated for
     ``budget``, rebuilt from the range it recorded in ``model.metadata``;
-    None when the model holds no range for that budget."""
+    None when the model holds no range for that budget. A recorded range
+    that no calibration writes raises FormatError."""
     lo, hi = (model.metadata.get(key) for key in _range_keys(budget))
     if lo is None or hi is None:
         return None
     bits = _uniform_bits(budget, model.cfg.keep_count, model.cfg.d_latent)
-    return UniformQuantizerSpec(bits=bits, lo=lo, hi=hi)
+    try:
+        return UniformQuantizerSpec(bits=bits, lo=lo, hi=hi)
+    except ValueError as exc:
+        raise dataio.FormatError(f"bad recorded range for budget "
+                                 f"{budget}: {exc}") from exc
 
 
 def _budget_quantizer(cfg: dict, model: FlowMatModel, train_eigens,
-                      budget: int):
-    """Quantizer instance hitting a budget that ``_budget_list`` accepted.
+                      budget: int) -> UniformQuantizerSpec:
+    """The uniform quantizer hitting a budget that ``_budget_list`` accepted.
 
-    A uniform quantizer spends ``budget / (keep_count * d_latent)`` bits
-    per latent scalar. Its range is calibrated on the float model's
-    latents of ``train_eigens`` by ``calibrate_uniform_mse``: the
+    It spends ``budget / (keep_count * d_latent)`` bits per latent
+    scalar. Its range is calibrated on the float model's latents of
+    ``train_eigens`` by ``calibrate_uniform_mse``: the
     symmetric percentile range (clipping 0-5 % per tail) with the least
     quantize-dequantize MSE, so a few outliers do not widen every cell.
     The range is recorded in the model metadata, from which
     ``uniform_budget_spec`` rebuilds it for ``flowmat eval --budget``.
     """
-    if cfg["quantizer"] == "uniform":
-        spec = calibrate_uniform_mse(
-            collect_latents(model, train_eigens),
-            _uniform_bits(budget, cfg["keep_count"], cfg["d_latent"]))
-        model.metadata.update(zip(_range_keys(budget), (spec.lo, spec.hi)))
-        return spec
-    return make_codebook(cfg["vq_codebook_size"], cfg["d_latent"],
-                         seed=cfg["seed"])
+    spec = calibrate_uniform_mse(
+        collect_latents(model, train_eigens),
+        _uniform_bits(budget, cfg["keep_count"], cfg["d_latent"]))
+    model.metadata.update(zip(_range_keys(budget), (spec.lo, spec.hi)))
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def run_experiment(cfg: dict, out_dir) -> list:
     if TASK_REGIMES[task] and regime not in TASK_REGIMES[task]:
         raise ConfigError(f"task {task} takes regime "
                           f"{' or '.join(TASK_REGIMES[task])}, not {regime!r}")
-    if cfg["quantizer"] not in ("uniform", "vq"):
+    if cfg["quantizer"] != "uniform":
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
     if _n_train(cfg) < 1:
         raise ConfigError("the train/test split leaves no training sample")
@@ -497,24 +497,16 @@ def analyze_corr(cfg: dict, out_path) -> np.ndarray:
 
 
 def _budget_list(cfg: dict):
-    """The feedback bit budgets, or ConfigError unless the configured
+    """The feedback bit budgets, or ConfigError unless the uniform
     quantizer hits each exactly and the truncation baseline keeps at least
     one subband at each."""
     budgets = _list(cfg, "budgets", int)
     m, d_q = cfg["keep_count"], cfg["d_latent"]
-    try:  # a codebook size that is not a power of two has no VQ budget
-        vq_bits = (payload_bits("vq", m, d_q, k=cfg["vq_codebook_size"])
-                   if cfg["quantizer"] == "vq" else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for budget in budgets:
-        if cfg["quantizer"] == "uniform":
-            per_scalar = _uniform_bits(budget, m, d_q)
-            if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
-                raise ConfigError(
-                    f"budget {budget} not reachable with m={m}, d_latent={d_q}")
-        elif vq_bits != budget:
-            raise ConfigError(f"VQ budget {budget} needs m*log2(K) == budget")
+        per_scalar = _uniform_bits(budget, m, d_q)
+        if per_scalar * m * d_q != budget or not 1 <= per_scalar <= 16:
+            raise ConfigError(
+                f"budget {budget} not reachable with m={m}, d_latent={d_q}")
         try:
             baseline_truncation(np.ones((1, cfg["n_tx"])), budget)
         except ValueError as exc:

@@ -353,8 +353,7 @@ class FlowMatModel:
         """Compression round trip on the graph.
 
         Returns (reconstructed tokens, payload or None, kept indices). An
-        ``aux`` dict, when given, collects the pre-quantization latent and
-        VQ assignment indices for auxiliary losses.
+        ``aux`` dict, when given, collects the pre-quantization latent.
         """
         cfg, p = self.cfg, self.params
         z = self.encode(tokens, kept=self.kept_indices())
@@ -365,15 +364,8 @@ class FlowMatModel:
         payload = None
         if isinstance(quantizer, qz.UniformQuantizerSpec):
             lat, _, payload = qz.uniform_quantize_st(lat, quantizer)
-        elif isinstance(quantizer, qz.VqCodebook):
-            flat = ad.reshape(lat, (-1, cfg.d_latent))
-            quantized, idx, payload = qz.vq_apply_st(flat, quantizer)
-            if aux is not None:
-                aux["latent_flat"] = flat
-                aux["vq_indices"] = idx
-            lat = ad.reshape(quantized, lat.data.shape)
         elif quantizer is not None:
-            raise ValueError("quantizer must be a spec, codebook, or None")
+            raise ValueError("quantizer must be a UniformQuantizerSpec or None")
 
         up = ad.matmul(lat, p["latent_up"])
         y3 = ad.insert_rows(up, kept, cfg.n_tokens, p["mask_token"])

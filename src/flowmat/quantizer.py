@@ -1,11 +1,12 @@
-"""Uniform and vector quantization of the kept latent, with exact bit
-accounting and straight-through training behavior."""
+"""Quantization of the kept latent with exact bit accounting: a uniform
+quantizer that trains straight-through, and nearest-codeword vector
+quantization (VQ) for assignment and bit accounting only."""
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +59,10 @@ class UniformQuantizerSpec:
     def __post_init__(self):
         if not 1 <= self.bits <= 16:
             raise ValueError("bits must lie in [1, 16]")
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < self.hi):
+            raise ValueError(f"need a finite range lo < hi, not "
+                             f"[{self.lo}, {self.hi}]")
 
     @property
     def delta(self) -> float:
@@ -144,9 +147,7 @@ def calibrate_uniform_mse(latents: np.ndarray,
 
 @dataclass
 class VqCodebook:
-    vectors: Tensor  # [K, d_q], trainable
-    beta: float = 0.25
-    usage: np.ndarray = field(default=None)  # training assignments per word
+    vectors: Tensor  # [K, d_q]
 
     def __post_init__(self):
         k = self.vectors.data.shape[0]
@@ -154,8 +155,6 @@ class VqCodebook:
             raise ValueError("codebook size must be a power of two")
         if not np.all(np.isfinite(self.vectors.data)):
             raise ValueError("codebook vectors must be finite")
-        if self.usage is None:
-            self.usage = np.zeros(k, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -166,10 +165,9 @@ class VqCodebook:
         return int(math.log2(self.size))
 
 
-def make_codebook(k: int, d_q: int, seed: int = 0, beta: float = 0.25) -> VqCodebook:
+def make_codebook(k: int, d_q: int, seed: int = 0) -> VqCodebook:
     rng = np.random.default_rng(seed)
-    vecs = Tensor(rng.standard_normal((k, d_q)) * 0.1, requires_grad=True)
-    return VqCodebook(vectors=vecs, beta=beta)
+    return VqCodebook(vectors=Tensor(rng.standard_normal((k, d_q)) * 0.1))
 
 
 def vq_assign(x: np.ndarray, codebook: VqCodebook):
@@ -184,36 +182,6 @@ def vq_assign(x: np.ndarray, codebook: VqCodebook):
                          data=pack_bits(idx, codebook.index_bits),
                          scheme=SCHEME_VQ)
     return idx, payload
-
-
-def vq_apply_st(x: Tensor, codebook: VqCodebook):
-    """Substitute nearest codewords with a straight-through gradient.
-
-    Returns (quantized tensor, indices, payload). Gradients w.r.t. the
-    codebook flow only through ``vq_losses``. Assignments made on a
-    recorded tape (``x.requires_grad``) add to ``codebook.usage``; those of
-    a tape-free evaluation do not.
-    """
-    idx, payload = vq_assign(x.data, codebook)
-    if x.requires_grad:
-        np.add.at(codebook.usage, idx, 1)
-    codewords = codebook.vectors.data[idx]
-    quantized = ad.straight_through(x, lambda _: codewords)
-    return quantized, idx, payload
-
-
-def vq_losses(x: Tensor, codebook: VqCodebook, indices):
-    """(codebook loss, commitment loss), both averaged over rows.
-
-    codebook   = || stopgrad(x) - e ||^2   (moves codewords toward inputs)
-    commitment = beta * || x - stopgrad(e) ||^2
-    """
-    rows = x.data.shape[0]
-    e = ad.gather_rows(codebook.vectors, indices)
-    cb_loss = ad.mul(ad.tsum(ad.square(ad.sub(x.detach(), e))), 1.0 / rows)
-    commit = ad.mul(ad.tsum(ad.square(ad.sub(x, Tensor(e.data)))),
-                    codebook.beta / rows)
-    return cb_loss, commit
 
 
 def payload_bits(scheme: str, m: int, d_q: int, bits: int = None,
@@ -261,10 +229,9 @@ def parse_payload(raw: bytes):
         "<dddI" if scheme == SCHEME_UNIFORM else "<II")
     if scheme == SCHEME_UNIFORM:
         width, lo, hi = fields
-        if not (width.is_integer() and math.isfinite(lo)
-                and math.isfinite(hi)):
-            raise ValueError(f"uniform header needs an integral width and "
-                             f"a finite range, not {width}, [{lo}, {hi}]")
+        if not width.is_integer():
+            raise ValueError(f"uniform header needs an integral width, "
+                             f"not {width}")
         params = {"bits": int(width), "lo": lo, "hi": hi}
         index_bits = UniformQuantizerSpec(**params).bits
     else:

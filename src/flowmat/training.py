@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import linalg
-from . import quantizer as qz
 from .autodiff import Adam, Tensor
 from .channel import SystemGeometry, observe_pilots
 from .model import FlowMatModel, tokenize_channel, tokenize_eigen
@@ -41,15 +40,12 @@ class TrainConfig:
     seed: int = 0
     snr_db_min: float = 10.0
     snr_db_max: float = 10.0
-    loss_mode: str = "canonical"  # canonical | paper_literal
     eig_iterations: int = 30      # unrolled power-iteration depth (end_to_end)
 
     def __post_init__(self):
         if min(self.steps, self.batch_size, self.eig_iterations) < 1:
             raise ValueError("steps, batch size and eig_iterations must be "
                              "positive")
-        if self.loss_mode not in ("canonical", "paper_literal"):
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, not {self.lr}")
         snrs = (self.snr_db_min, self.snr_db_max)
@@ -76,23 +72,15 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-def loss_ce(pred: Tensor, target: np.ndarray, mode: str = "canonical") -> Tensor:
-    """Normalized root squared error sqrt(sum(err^2) / denominator).
-
-    canonical divides by the target energy; paper_literal divides by the
-    prediction energy as the training equations are written.
-    """
+def loss_ce(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Normalized root squared error sqrt(sum(err^2) / sum(target^2))."""
     target = np.asarray(target, dtype=np.float64)
     err = ad.sub(pred, Tensor(target))
     num = ad.tsum(ad.square(err))
-    if mode == "canonical":
-        denom = float((target**2).sum())
-        if denom == 0.0:
-            raise ZeroDivisionError("all-zero targets in canonical mode")
-        return ad.sqrt(ad.mul(num, 1.0 / denom))
-    if mode == "paper_literal":
-        return ad.sqrt(ad.div(num, ad.tsum(ad.square(pred))))
-    raise ValueError(f"unknown loss mode {mode!r}")
+    denom = float((target**2).sum())
+    if denom == 0.0:
+        raise ZeroDivisionError("all-zero targets")
+    return ad.sqrt(ad.mul(num, 1.0 / denom))
 
 
 _RHO_EPS = 1e-24
@@ -247,13 +235,13 @@ def train_progressive(model: FlowMatModel, channels, geom: SystemGeometry,
 
     def pilot_loss(idx):
         noisy, clean, _ = _estimation_batch(channels, geom, idx, cfg, rng)
-        return loss_ce(model.denoise(Tensor(noisy)), clean, cfg.loss_mode)
+        return loss_ce(model.denoise(Tensor(noisy)), clean)
 
     def grid_loss(idx):
         noisy, _, full = _estimation_batch(channels, geom, idx, cfg, rng)
         _, rec = model.estimate_forward(Tensor(noisy),
                                         geom.pilot_pattern.pilot_indices)
-        return loss_ce(rec, full, cfg.loss_mode)
+        return loss_ce(rec, full)
 
     _fit(report, model.parameters(DENOISER), cfg, len(channels), rng,
          pilot_loss)
@@ -276,8 +264,7 @@ def train_joint_estimation(model: FlowMatModel, channels,
         noisy, clean, full = _estimation_batch(channels, geom, idx, cfg, rng)
         den, rec = model.estimate_forward(Tensor(noisy),
                                           geom.pilot_pattern.pilot_indices)
-        return ad.add(loss_ce(den, clean, cfg.loss_mode),
-                      loss_ce(rec, full, cfg.loss_mode))
+        return ad.add(loss_ce(den, clean), loss_ce(rec, full))
 
     _fit(report, model.parameters(), cfg, len(channels), rng, loss_fn)
     return report
@@ -285,30 +272,19 @@ def train_joint_estimation(model: FlowMatModel, channels,
 
 def train_feedback(model: FlowMatModel, eigenmatrices, cfg: TrainConfig,
                    quantizer=None) -> TrainReport:
-    """Train the compression/feedback autoencoder on 1 - Rho.
-
-    With a VQ codebook quantizer, the codebook and commitment losses are
-    added and the codebook vectors train by gradient.
-    """
+    """Train the compression/feedback autoencoder on 1 - Rho; with a
+    ``UniformQuantizerSpec`` quantizer the latent is quantized
+    straight-through (quantization-aware fine-tuning)."""
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
     tokens_all = tokenize_eigen(np.stack(eigenmatrices))
-    vq = isinstance(quantizer, qz.VqCodebook)
-    params = model.parameters() + ([quantizer.vectors] if vq else [])
 
     def loss_fn(idx):
         batch = tokens_all[idx]
-        aux = {}
-        rec, _, _ = model.feedback_forward(Tensor(batch), quantizer=quantizer,
-                                           aux=aux)
-        loss = loss_cf(rec, batch)
-        if vq:
-            cb_loss, commit = qz.vq_losses(aux["latent_flat"], quantizer,
-                                           aux["vq_indices"])
-            loss = ad.add(loss, ad.add(cb_loss, commit))
-        return loss
+        rec, _, _ = model.feedback_forward(Tensor(batch), quantizer=quantizer)
+        return loss_cf(rec, batch)
 
-    _fit(report, params, cfg, len(tokens_all), rng, loss_fn)
+    _fit(report, model.parameters(), cfg, len(tokens_all), rng, loss_fn)
     return report
 
 

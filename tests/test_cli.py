@@ -133,8 +133,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         # a setting deleted from the config schema is an unknown key
-        "lr_schedule = cosin",
-        "quantizer = float", "finetune_steps = -5",
+        "lr_schedule = cosin", "loss_mode = canonical",
+        "vq_codebook_size = 256",
+        # uniform is the only quantizer a run trains with
+        "quantizer = float", "quantizer = vq", "finetune_steps = -5",
         # lists with no value
         "budgets = ,",
         pytest.param("task = estimate\neval_snrs_db = ,",
@@ -165,10 +167,7 @@ class TestExitCodes:
                      id="estimate with eval_snrs_db = 0,-inf"),
         pytest.param("task = estimate\neval_snrs_db = 0,nan",
                      id="estimate with eval_snrs_db = 0,nan"),
-        "lr = nan", "lr = inf", "lr = -1",
-        # a VQ payload needs a power-of-two codebook
-        pytest.param("quantizer = vq\nvq_codebook_size = 3",
-                     id="vq_codebook_size = 3")])
+        "lr = nan", "lr = inf", "lr = -1"])
     def test_bad_setting_rejected_before_training(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMOKE + setting + "\n")
@@ -261,6 +260,19 @@ class TestTrainEval:
         for budget in ("64", "0"):
             assert main(["eval", "--config", str(smoke_cfg), "--checkpoint",
                          str(ckpt), "--budget", budget]) == EXIT_DATA
+
+    @pytest.mark.parametrize("lo,hi", [(2.0, 1.0), (-np.inf, np.inf),
+                                       (-1.0, np.inf)])
+    def test_eval_budget_bad_recorded_range_exits_3(self, smoke_cfg, tmp_path,
+                                                    capsys, lo, hi):
+        model = feedback_model(smoke_cfg)
+        model.metadata.update(uq_lo_64=lo, uq_hi_64=hi)
+        ckpt = tmp_path / "model.fmw"
+        model.save(ckpt)
+        assert main(["eval", "--config", str(smoke_cfg), "--checkpoint",
+                     str(ckpt), "--budget", "64"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad recorded range" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("old,new", [
         (b"d_model=8", b"d_model=x"),        # malformed value

