@@ -113,18 +113,27 @@ class Tensor:
 
     @staticmethod
     def _result(data, operands, vjps):
-        """Graph node of an op's forward value ``data``. ``vjps[i](g)`` maps
-        the output gradient ``g`` to the gradient of ``operands[i]``; the
-        node's backward runs it only when that operand needs a gradient."""
+        """Graph node of an op's forward value ``data``. ``vjps`` is either
+        one VJP per operand, ``vjps[i](g)`` mapping the output gradient
+        ``g`` to the gradient of ``operands[i]`` and run only when that
+        operand needs a gradient, or one function ``vjps(g)`` returning
+        every operand's gradient (None for an operand that needs none), so
+        intermediates shared by several operands live only for that call."""
         out = Tensor(data)
         if _TAPE and any(p.requires_grad for p in operands):
             out.requires_grad = True
             out._parents = tuple(operands)
+            if not callable(vjps):
+                per_operand = vjps
+
+                def vjps(g):  # lazy: each VJP runs just before its gradient
+                    return (vjp(g) if p.requires_grad else None
+                            for p, vjp in zip(operands, per_operand))
 
             def backward(g):
-                for p, vjp in zip(operands, vjps):
+                for p, grad in zip(operands, vjps(g)):
                     if p.requires_grad:
-                        p._accumulate(vjp(g))
+                        p._accumulate(grad)
 
             out._backward = backward
         return out
@@ -169,9 +178,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
 
 def as_tensor(x) -> Tensor:
@@ -264,23 +270,127 @@ def square(a: Tensor) -> Tensor:
     return mul(a, a)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of ``x``: GELU(x) = x * cdf."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    return g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    e = a - a.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place: the same bits, one array fewer
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return Tensor._result(x * cdf, (a,), (
-        lambda g: g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))),))
+    cdf = _gelu_cdf(x)
+    return Tensor._result(x * cdf, (a,), (lambda g: _gelu_vjp(g, x, cdf),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-stabilized softmax over the last axis; rows sum to one."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    return Tensor._result(s, (a,), (
-        lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+    s = _softmax(a.data)
+    return Tensor._result(s, (a,), (lambda g: _softmax_vjp(g, s),))
+
+
+def _input_grad(g: np.ndarray, w: Tensor) -> np.ndarray:
+    """Gradient of ``x`` in ``x @ w`` for the output gradient ``g``."""
+    return np.matmul(g, np.swapaxes(w.data, -1, -2))
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, w: Tensor) -> np.ndarray:
+    """Gradient of ``w`` in ``x @ w`` for the output gradient ``g``, as
+    ``matmul``'s VJP gives it: one batched product, then the leading axes
+    summed away."""
+    return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.data.shape)
+
+
+def attention(x, wq, wk, wv, bias, n_heads: int) -> Tensor:
+    """Multi-head self-attention over ``x`` [..., n, d] as one node.
+
+    Projects ``x`` to queries, keys and values, splits the width into
+    ``n_heads`` heads of width dh, adds the constant ``bias`` [n, n] (or
+    None) to every head's logits, scales them by 1/sqrt(dh), takes the row
+    softmax, weighs the values and merges the heads, all heads in one
+    batched product. Forward and backward run the numpy calls of the same
+    graph built from matmul, reshape, transpose, add, mul and softmax_rows,
+    in its order and on its array layouts, so every value and gradient has
+    the same bits. Elementwise steps on the op's own temporaries run in
+    place, which gives the same bits and holds fewer arrays at once.
+    """
+    x, wq, wk, wv = as_tensor(x), as_tensor(wq), as_tensor(wk), as_tensor(wv)
+    n, d = x.data.shape[-2:]
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (n, n):
+            raise ValueError(f"bias must be [{n}, {n}], got {list(bias.shape)}")
+    dh = d // n_heads
+    split = x.data.shape[:-1] + (n_heads, dh)
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(w):  # [..., n, d] -> [..., heads, n, dh], a strided view
+        return np.swapaxes(np.matmul(x.data, w.data).reshape(split), -3, -2)
+
+    def merge(a):
+        """[..., heads, n, dh] -> [..., n, d] in C order, the layout the
+        graph's products received; a strided operand gives other bits."""
+        return np.ascontiguousarray(np.swapaxes(a, -3, -2)).reshape(x.data.shape)
+
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+    if bias is not None:
+        logits += bias
+    logits *= scale
+    s = _softmax(logits)
+    del logits
+
+    def vjp(g):
+        go = np.ascontiguousarray(np.swapaxes(g.reshape(split), -3, -2))
+        gl = _softmax_vjp(np.matmul(go, np.swapaxes(v, -1, -2)), s) * scale
+        gy = (merge(np.matmul(gl, k)),
+              merge(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gl), -1, -2)),
+              merge(np.matmul(np.swapaxes(s, -1, -2), go)))
+        gx = None
+        if x.requires_grad:  # (from q + from k) + from v, as the graph sums
+            gx = (_input_grad(gy[0], wq) + _input_grad(gy[1], wk)
+                  + _input_grad(gy[2], wv))
+        return [gx] + [_weight_grad(x.data, gh, w) if w.requires_grad
+                       else None for gh, w in zip(gy, (wq, wk, wv))]
+
+    return Tensor._result(merge(np.matmul(s, v)), (x, wq, wk, wv), vjp)
+
+
+def mlp(h, w1, b1, w2, b2) -> Tensor:
+    """Linear, exact GELU, linear over the last axis of ``h`` as one node,
+    with the bits of the graph built from matmul, add, gelu, matmul and
+    add. The backward keeps GELU's ``cdf`` from the forward and recomputes
+    the hidden activation from it."""
+    h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
+    a = np.matmul(h.data, w1.data) + b1.data
+    cdf = _gelu_cdf(a)
+    out = np.matmul(a * cdf, w2.data) + b2.data
+
+    def vjp(g):
+        ga = _gelu_vjp(_input_grad(g, w2), a, cdf)
+        return (_input_grad(ga, w1) if h.requires_grad else None,
+                _weight_grad(h.data, ga, w1) if w1.requires_grad else None,
+                _unbroadcast(ga, b1.data.shape),
+                _weight_grad(a * cdf, g, w2) if w2.requires_grad else None,
+                _unbroadcast(g, b2.data.shape))
+
+    return Tensor._result(out, (h, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

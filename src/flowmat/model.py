@@ -257,23 +257,11 @@ class FlowMatModel:
     # -- attention machinery ----------------------------------------------
 
     def _attention(self, prefix: str, x: Tensor, bias) -> Tensor:
-        """Multi-head attention over ``x`` [..., n, d_model], all heads in
-        one batched product; ``bias`` [n, n] adds to every head's logits."""
-        p, cfg = self.params, self.cfg
-        dh = cfg.d_model // cfg.n_heads
-        split = x.data.shape[:-1] + (cfg.n_heads, dh)
-
-        def heads(w):  # [..., n, d_model] -> [..., heads, n, dh]
-            y = ad.reshape(ad.matmul(x, p[f"{prefix}.{w}"]), split)
-            return ad.transpose(y, axes=(-3, -2))
-
-        q, k, v = heads("wq"), heads("wk"), heads("wv")
-        logits = ad.matmul(q, ad.transpose(k))
-        if bias is not None:
-            logits = ad.add(logits, Tensor(bias))
-        att = ad.softmax_rows(ad.mul(logits, 1.0 / math.sqrt(dh)))
-        out = ad.transpose(ad.matmul(att, v), axes=(-3, -2))
-        return ad.reshape(out, x.data.shape)
+        """Multi-head attention over ``x`` [..., n, d_model]; ``bias``
+        [n, n] adds to every head's logits."""
+        p = self.params
+        return ad.attention(x, p[f"{prefix}.wq"], p[f"{prefix}.wk"],
+                            p[f"{prefix}.wv"], bias, self.cfg.n_heads)
 
     def _norm(self, name: str, x: Tensor) -> Tensor:
         p = self.params
@@ -282,8 +270,8 @@ class FlowMatModel:
     def _mlp(self, name: str, h: Tensor) -> Tensor:
         """Linear, GELU, linear over the last axis of ``h``."""
         p = self.params
-        h = ad.gelu(ad.add(ad.matmul(h, p[f"{name}.w1"]), p[f"{name}.b1"]))
-        return ad.add(ad.matmul(h, p[f"{name}.w2"]), p[f"{name}.b2"])
+        return ad.mlp(h, p[f"{name}.w1"], p[f"{name}.b1"], p[f"{name}.w2"],
+                      p[f"{name}.b2"])
 
     def _block(self, prefix: str, x: Tensor, bias=None) -> Tensor:
         h = self._norm(f"{prefix}.ln1", x)

@@ -80,6 +80,25 @@ def test_criterion_01_gradient_suite():
         worst = max(worst, finite_diff_grad_check(f, Tensor(
             rng.standard_normal((3, 4)))))
 
+    # the fused ops through each operand in turn, the others held constant
+    x_wq_wk_wv = [rng.standard_normal(s) for s in
+                  ((2, 3, 4), (4, 4), (4, 4), (4, 4))]
+    fused_cases = [
+        (lambda *t: ad.attention(*t, None, 2), x_wq_wk_wv),
+        (lambda *t: ad.attention(*t, build_mask_bias([0, 2], 3, "hard"), 2),
+         x_wq_wk_wv),
+        (ad.mlp, [rng.standard_normal(s) for s in
+                  ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))]),
+    ]
+    for op, arrays in fused_cases:
+        for i, traced in enumerate(arrays):
+            def f(x, op=op, arrays=arrays, i=i):
+                operands = [Tensor(arr) for arr in arrays]
+                operands[i] = x
+                return ad.tsum(ad.square(op(*operands)))
+
+            worst = max(worst, finite_diff_grad_check(f, Tensor(traced.copy())))
+
     # full feedback loss graph on a tiny config (N <= 8, d_model <= 16)
     fb = FlowMatModel(FeedbackConfig(n_tokens=4, token_dim=4, d_model=8,
                                      n_heads=2, encoder_depth=2,

@@ -1,6 +1,7 @@
 """Gradient correctness of every differentiable op via central differences."""
 
 import importlib.machinery
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.special
 
 import flowmat.autodiff as ad
 from flowmat.autodiff import Adam, Tensor, finite_diff_grad_check
+from flowmat.model import build_mask_bias
 
 RNG = np.random.default_rng(42)
 TOL = 1e-4
@@ -236,12 +238,6 @@ class TestBackwardMechanics:
         out.backward()
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
-    def test_detach_blocks_gradients(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        out = ad.tsum(ad.mul(x.detach(), x))
-        out.backward()
-        np.testing.assert_allclose(x.grad, [2.0])
-
     def test_grad_check_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff_grad_check(lambda x: ad.tsum(x),
@@ -304,6 +300,10 @@ def _frozen_cases():
                         [n((2, 2, 3)), n(3)]),
         "concat": (lambda a, b: ad.concat([a, b], axis=-2),
                    [n((2, 3, 4)), n((2, 1, 4))]),
+        "attention": (lambda x, wq, wk, wv: ad.attention(
+            x, wq, wk, wv, build_mask_bias([0, 2], 3, "hard"), 2),
+                      [n((2, 3, 4))] + [n((4, 4)) for _ in range(3)]),
+        "mlp": (ad.mlp, [n((2, 3, 4)), n((4, 6)), n(6), n((6, 4)), n(4)]),
     }
 
 
@@ -371,6 +371,107 @@ class TestNodeConstructor:
             ad.concat([first, x], axis=axis)), w)),
               RNG.standard_normal(shape(2)))
         assert first.grad is None
+
+
+def composed_attention(x, wq, wk, wv, bias, n_heads):
+    """The graph of primitive ops that ``ad.attention`` replaces."""
+    dh = x.data.shape[-1] // n_heads
+    split = x.data.shape[:-1] + (n_heads, dh)
+
+    def heads(w):
+        return ad.transpose(ad.reshape(ad.matmul(x, w), split), axes=(-3, -2))
+
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    logits = ad.matmul(q, ad.transpose(k))
+    if bias is not None:
+        logits = ad.add(logits, Tensor(bias))
+    att = ad.softmax_rows(ad.mul(logits, 1.0 / math.sqrt(dh)))
+    out = ad.transpose(ad.matmul(att, v), axes=(-3, -2))
+    return ad.reshape(out, x.data.shape)
+
+
+def composed_mlp(h, w1, b1, w2, b2):
+    """The graph of primitive ops that ``ad.mlp`` replaces."""
+    h = ad.gelu(ad.add(ad.matmul(h, w1), b1))
+    return ad.add(ad.matmul(h, w2), b2)
+
+
+def attention_arrays(shape, rng):
+    d = shape[-1]
+    return [rng.standard_normal(shape)] + [
+        0.2 * rng.standard_normal((d, d)) for _ in range(3)]
+
+
+def mlp_arrays(shape, e, rng):
+    d = shape[-1]
+    return [rng.standard_normal(shape), 0.2 * rng.standard_normal((d, e * d)),
+            0.1 * rng.standard_normal(e * d),
+            0.2 * rng.standard_normal((e * d, d)), 0.1 * rng.standard_normal(d)]
+
+
+class TestFusedOps:
+    """``attention`` and ``mlp`` give the bits of the primitive graphs they
+    replace: the forward value and every operand's gradient."""
+
+    @staticmethod
+    def bits(op, arrays, first=lambda t: t):
+        """Forward value and leaf gradients of ``op`` as bytes; ``first``
+        maps the first leaf to the op's first operand."""
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(first(leaves[0]), *leaves[1:])
+        weights = np.random.default_rng(9).standard_normal(out.data.shape)
+        ad.tsum(ad.mul(out, Tensor(weights))).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    def assert_same_bits(self, fused, composed, arrays, first=lambda t: t):
+        got = self.bits(fused, arrays, first)
+        want = self.bits(composed, arrays, first)
+        names = ["forward"] + [f"grad {i}" for i in range(len(arrays))]
+        assert [n for n, a, b in zip(names, got, want) if a != b] == []
+
+    @pytest.mark.parametrize("shape,masked", [
+        ((16, 8, 64), True), ((16, 8, 64), False), ((16, 32, 64), False),
+        ((8, 64), True)], ids=["16x8-mask", "16x8", "16x32", "batch-1"])
+    def test_attention_bits(self, shape, masked):
+        n = shape[-2]
+        bias = build_mask_bias([0, 3, 5], n, "hard") if masked else None
+        self.assert_same_bits(
+            lambda *t: ad.attention(*t, bias, 4),
+            lambda *t: composed_attention(*t, bias, 4),
+            attention_arrays(shape, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("shape", [(16, 8, 64), (16, 32, 64), (8, 64)],
+                             ids=["16x8", "16x32", "batch-1"])
+    def test_mlp_bits(self, shape):
+        self.assert_same_bits(ad.mlp, composed_mlp,
+                              mlp_arrays(shape, 2, np.random.default_rng(2)))
+
+    def test_mlp_bits_on_mixer_token_input(self):
+        # the Mixer's token mixing runs the MLP on a transposed, strided view
+        arrays = mlp_arrays((16, 32, 8), 2, np.random.default_rng(3))
+        arrays[0] = np.swapaxes(arrays[0], -1, -2).copy()  # [16, 8, 32]
+        self.assert_same_bits(ad.mlp, composed_mlp, arrays, ad.transpose)
+
+    def test_forward_bits_without_tape(self):
+        rng = np.random.default_rng(4)
+        bias = build_mask_bias([1, 2], 8, "hard")
+        cases = [
+            (lambda *t: ad.attention(*t, bias, 4),
+             lambda *t: composed_attention(*t, bias, 4),
+             attention_arrays((16, 8, 64), rng)),
+            (ad.mlp, composed_mlp, mlp_arrays((16, 8, 64), 2, rng))]
+        for fused, composed, arrays in cases:
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            with ad.no_tape():
+                got, want = fused(*leaves), composed(*leaves)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got._backward is None and got._parents == ()
+
+    @pytest.mark.parametrize("bias_shape", [(6,), (1, 6), (6, 1), (7, 7)])
+    def test_attention_rejects_bias_not_n_by_n(self, bias_shape):
+        x, wq, wk, wv = attention_arrays((2, 6, 8), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="bias"):
+            ad.attention(Tensor(x), wq, wk, wv, np.zeros(bias_shape), 2)
 
 
 class TestNoTape:

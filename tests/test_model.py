@@ -155,6 +155,21 @@ class TestMaskAttention:
         zero_bias = model._attention("enc0", Tensor(x), np.zeros((6, 6))).data
         np.testing.assert_allclose(no_bias, zero_bias, atol=1e-15)
 
+    @pytest.mark.parametrize("kept", [None, [0, 2, 5]])
+    def test_block_is_six_nodes(self, kept):
+        # layer norm, attention, residual add, layer norm, MLP, residual add
+        model = FlowMatModel(tiny_config())
+        x = Tensor(np.random.default_rng(7).standard_normal((3, 6, 16)),
+                   requires_grad=True)
+        bias = None if kept is None else build_mask_bias(kept, 6, "hard")
+        seen, stack = set(), [model._block("enc0", x, bias)]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) == 6
+
 
 class TestModelConstruction:
     def test_init_deterministic_per_seed(self):

@@ -439,7 +439,7 @@ class TestGraphSize:
         nodes = self.step_nodes(monkeypatch, lambda: train_feedback(
             FlowMatModel(fb_config(n_heads=4)), eigens,
             TrainConfig(steps=1, batch_size=4)))
-        assert nodes <= 191
+        assert nodes <= 113
 
     def test_end_to_end_step(self, monkeypatch):
         geom = two_rx_geom()
@@ -455,4 +455,4 @@ class TestGraphSize:
         nodes = self.step_nodes(monkeypatch, lambda: train_end_to_end(
             est, fb, channels, eigens, geom,
             TrainConfig(steps=1, batch_size=2)))
-        assert nodes <= 658
+        assert nodes <= 340
