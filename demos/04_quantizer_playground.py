@@ -6,18 +6,17 @@ spends B bits per latent value. A vector quantizer instead stores the
 index of the nearest of K codewords per latent row and spends log2(K)
 bits per row; flowmat keeps it for assignment and bit accounting only,
 with a random codebook and no training path. This script exercises both
-on synthetic data and shows the exact wire format that would cross the
-feedback link.
+on synthetic data and counts the bits each would send over the feedback
+link.
 
 Run: python3 demos/04_quantizer_playground.py
 """
 
 import numpy as np
 
-from flowmat.quantizer import (UniformQuantizerSpec, calibrate_uniform,
-                               make_codebook, parse_payload, payload_bits,
-                               serialize_payload, uniform_dequantize,
-                               uniform_quantize, vq_assign)
+from flowmat.quantizer import (calibrate_uniform, make_codebook,
+                               uniform_dequantize, uniform_quantize,
+                               vq_assign)
 
 rng = np.random.default_rng(0)
 
@@ -46,17 +45,3 @@ print(f"  assignments: {idx.tolist()}")
 print(f"  payload: {payload.bit_length} bits "
       f"(= {x.shape[0]} rows x log2({k}) bits)")
 print(f"  mean squared error: {np.mean((recon - x) ** 2):.4f}")
-print()
-
-# -- the wire format -----------------------------------------------------------
-
-spec = UniformQuantizerSpec(bits=4, lo=-3.0, hi=3.0)
-_, payload = uniform_quantize(x, spec)
-wire = serialize_payload(payload, spec=spec)
-print(f"wire format: {len(wire)} bytes for a "
-      f"{payload_bits('uniform', m=8, d_q=4, bits=4)}-bit payload")
-print(f"  first 16 bytes: {wire[:16].hex()}")
-parsed, meta = parse_payload(wire)
-assert parsed.data == payload.data
-print(f"  parsed back: scheme={parsed.scheme}, "
-      f"bit_length={parsed.bit_length}, meta={meta}")

@@ -24,12 +24,12 @@ _MAX_ELEMENTS = 1 << 32  # per-sample element guard against corrupt dims
 
 
 class FormatError(ValueError):
-    """Raised when a container, checkpoint or payload fails validation."""
+    """Raised when a container, checkpoint or recorded range is invalid."""
 
 
 class Reader:
-    """Bounds-checked cursor over the bytes of a container, checkpoint or
-    payload (``what``); short reads and leftover bytes raise FormatError."""
+    """Bounds-checked cursor over the bytes of a container or checkpoint
+    (``what``); short reads and leftover bytes raise FormatError."""
 
     def __init__(self, raw: bytes, what: str):
         self.raw, self.what, self.off = raw, what, 0

@@ -5,26 +5,22 @@ quantization (VQ) for assignment and bit accounting only."""
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import Reader
 
 SCHEME_UNIFORM = "uniform"
 SCHEME_VQ = "vq"
-_SCHEME_TAGS = {SCHEME_UNIFORM: 0, SCHEME_VQ: 1}
-_TAG_SCHEMES = {v: k for k, v in _SCHEME_TAGS.items()}
+_MARGIN = 0.05  # share of the span calibrate_uniform adds at each end
 
 
 @dataclass
 class BitPayload:
     bit_length: int
     data: bytes
-    scheme: str
 
     def __post_init__(self):
         if len(self.data) != (self.bit_length + 7) // 8:
@@ -40,14 +36,6 @@ def pack_bits(indices, width: int) -> bytes:
     for j in range(width):
         bits[j::width] = (indices >> (width - 1 - j)) & 1
     return np.packbits(bits).tobytes()
-
-
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[: count * width]
-    out = np.zeros(count, dtype=np.uint64)
-    for j in range(width):
-        out = (out << 1) | bits[j::width].astype(np.uint64)
-    return out
 
 
 @dataclass
@@ -74,8 +62,7 @@ def uniform_quantize(x: np.ndarray, spec: UniformQuantizerSpec):
     x = np.asarray(x, dtype=np.float64)
     idx = _cell_indices(x, spec)
     payload = BitPayload(bit_length=x.size * spec.bits,
-                         data=pack_bits(idx, spec.bits),
-                         scheme=SCHEME_UNIFORM)
+                         data=pack_bits(idx, spec.bits))
     return idx, payload
 
 
@@ -105,14 +92,13 @@ def uniform_quantize_st(x: Tensor, spec: UniformQuantizerSpec):
     return ad.straight_through(x, lambda _: values), idx, payload
 
 
-def calibrate_uniform(latents: np.ndarray, bits: int,
-                      margin: float = 0.05) -> UniformQuantizerSpec:
-    """Range from observed latent min/max, expanded by ``margin``."""
+def calibrate_uniform(latents: np.ndarray, bits: int) -> UniformQuantizerSpec:
+    """Observed min/max range, widened by ``_MARGIN`` of its span per end."""
     lo = float(np.min(latents))
     hi = float(np.max(latents))
     span = max(hi - lo, 1e-12)
-    return UniformQuantizerSpec(bits=bits, lo=lo - margin * span,
-                                hi=hi + margin * span)
+    return UniformQuantizerSpec(bits=bits, lo=lo - _MARGIN * span,
+                                hi=hi + _MARGIN * span)
 
 
 # percent clipped per tail by the candidate ranges of calibrate_uniform_mse
@@ -157,12 +143,8 @@ class VqCodebook:
             raise ValueError("codebook vectors must be finite")
 
     @property
-    def size(self) -> int:
-        return self.vectors.data.shape[0]
-
-    @property
     def index_bits(self) -> int:
-        return int(math.log2(self.size))
+        return int(math.log2(self.vectors.data.shape[0]))
 
 
 def make_codebook(k: int, d_q: int, seed: int = 0) -> VqCodebook:
@@ -179,8 +161,7 @@ def vq_assign(x: np.ndarray, codebook: VqCodebook):
     d2 = ((x[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
     idx = np.argmin(d2, axis=1)  # argmin picks the lowest index on ties
     payload = BitPayload(bit_length=x.shape[0] * codebook.index_bits,
-                         data=pack_bits(idx, codebook.index_bits),
-                         scheme=SCHEME_VQ)
+                         data=pack_bits(idx, codebook.index_bits))
     return idx, payload
 
 
@@ -196,51 +177,3 @@ def payload_bits(scheme: str, m: int, d_q: int, bits: int = None,
             raise ValueError("VQ scheme needs a power-of-two codebook size")
         return m * int(math.log2(k))
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def serialize_payload(payload: BitPayload, spec=None, k: int = None) -> bytes:
-    """Wire format: scheme tag u8 | params | bit length u32 | packed bits."""
-    tag = _SCHEME_TAGS[payload.scheme]
-    out = struct.pack("<B", tag)
-    if payload.scheme == SCHEME_UNIFORM:
-        if spec is None:
-            raise ValueError("uniform payload needs its quantizer spec")
-        out += struct.pack("<ddd", float(spec.bits), spec.lo, spec.hi)
-    else:
-        if k is None:
-            raise ValueError("VQ payload needs the codebook size")
-        out += struct.pack("<I", k)
-    out += struct.pack("<I", payload.bit_length)
-    out += payload.data
-    return out
-
-
-def parse_payload(raw: bytes):
-    """Inverse of serialize_payload; returns (payload, params dict). A
-    message cut anywhere or longer than its bits, a header that no
-    quantizer writes, or a bit length that is not a whole number of
-    indices raises ValueError."""
-    reader = Reader(raw, "payload")
-    (tag,) = reader.take("<B")
-    if tag not in _TAG_SCHEMES:
-        raise ValueError(f"unknown scheme tag {tag}")
-    scheme = _TAG_SCHEMES[tag]
-    *fields, bit_length = reader.take(  # params | length
-        "<dddI" if scheme == SCHEME_UNIFORM else "<II")
-    if scheme == SCHEME_UNIFORM:
-        width, lo, hi = fields
-        if not width.is_integer():
-            raise ValueError(f"uniform header needs an integral width, "
-                             f"not {width}")
-        params = {"bits": int(width), "lo": lo, "hi": hi}
-        index_bits = UniformQuantizerSpec(**params).bits
-    else:
-        params = {"k": fields[0]}
-        index_bits = payload_bits(SCHEME_VQ, 1, 1, k=fields[0])
-    # a one-word codebook has 0-bit indices and writes no bits
-    if bit_length % index_bits if index_bits else bit_length:
-        raise ValueError(f"bit length {bit_length} is not a whole number "
-                         f"of {index_bits}-bit indices")
-    (data,) = reader.take(f"<{(bit_length + 7) // 8}s")
-    reader.end()
-    return BitPayload(bit_length=bit_length, data=data, scheme=scheme), params

@@ -1,11 +1,12 @@
 """Loss functions and training regimes.
 
-Three compositions are supported for the joint task: ``progressive``
-(denoiser first, then the completion decoder with the denoiser frozen),
-``joint`` (both reconstruction losses at once), ``end_to_end`` (pilots
-through estimation, differentiable eigen extraction, and the feedback
-model under a single similarity loss) and ``splited`` (independent
-training, composed only at evaluation time).
+The feedback task takes no regime (``train_feedback``, with an
+optional quantizer fine-tune). The estimate task takes ``progressive``
+(denoiser first, then the completion decoder with the denoiser frozen)
+or ``joint`` (both reconstruction losses at once); the joint task takes
+``end_to_end`` (pilots through estimation, differentiable eigen
+extraction and the feedback model under one similarity loss) or
+``splited`` (independent training, composed only at evaluation time).
 """
 
 from __future__ import annotations
